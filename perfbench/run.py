@@ -128,14 +128,13 @@ def run_driver(exe, cmd, timeout_s, **kv):
 
 
 def source_id():
-    """The git commit when there is one, else a digest of the built sources."""
-    try:
+    """The git commit when the checkout is a git repository, else a digest
+    of the built sources."""
+    if (ROOT / ".git").exists():
         r = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"], capture_output=True,
                            text=True, timeout=10)
         if r.returncode == 0:
             return {"git_sha": r.stdout.strip()}
-    except OSError:
-        pass
     h = hashlib.sha256()
     files = [ROOT / "CMakeLists.txt", *sorted((ROOT / "src").rglob("*")),
              *sorted((ROOT / "tools").rglob("*")), *sorted(HERE.rglob("*"))]
