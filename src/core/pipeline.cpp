@@ -1,7 +1,9 @@
 #include "core/pipeline.h"
+
+#include <algorithm>
 #include <cmath>
 
-
+#include "common/parallel.h"
 #include "common/stats.h"
 #include "core/msgs.h"
 #include "nn/norm.h"
@@ -104,45 +106,51 @@ void zero_pruned_rows(const ModelConfig& m, const prune::FmapMask& mask, Tensor&
 /// per-tensor spec, as the INTn MM datapath that generates them would.
 /// Coarse widths (INT8) visibly shift sampling positions — the dominant
 /// cause of the paper's 9.7-AP INT8 collapse.
+///
+/// Pass 1 turns the locations into offsets in place, one spec is fitted
+/// over all of them, and pass 2 writes back the locations of the
+/// requantized offsets.  Both passes run parallel over queries; each query
+/// touches only its own elements.
 void quantize_offsets(const ModelConfig& m, const Tensor& ref_norm, int bits,
                       Tensor& locs) {
   const std::int64_t n = m.n_in();
-  Tensor offsets = locs;  // same layout; convert to offsets in place
-  for (std::int64_t q = 0; q < n; ++q) {
-    const float rx = ref_norm(q, 0);
-    const float ry = ref_norm(q, 1);
-    for (int h = 0; h < m.n_heads; ++h) {
-      for (int l = 0; l < m.n_levels; ++l) {
-        const LevelShape& lv = m.levels[static_cast<std::size_t>(l)];
-        const float cx = rx * static_cast<float>(lv.w) - 0.5f;
-        const float cy = ry * static_cast<float>(lv.h) - 0.5f;
-        for (int p = 0; p < m.n_points; ++p) {
-          offsets(q, h, l, p, 0) -= cx;
-          offsets(q, h, l, p, 1) -= cy;
+  const std::int64_t per_query = static_cast<std::int64_t>(m.n_heads) * m.points_per_head() * 2;
+  DEFA_DCHECK(locs.numel() == n * per_query, "locs shape");
+  const std::int64_t min_queries =
+      std::max<std::int64_t>(1, quant::kParallelGrain / per_query);
+  // Visit the flat index of every (query, head, level, point) x coordinate
+  // (y follows it) with its level's reference center (cx, cy).
+  const auto for_points = [&](const auto& fn) {
+    parallel_for(0, n, [&](std::int64_t q0, std::int64_t q1) {
+      for (std::int64_t q = q0; q < q1; ++q) {
+        const float rx = ref_norm(q, 0);
+        const float ry = ref_norm(q, 1);
+        std::size_t i = static_cast<std::size_t>(q * per_query);
+        for (int h = 0; h < m.n_heads; ++h) {
+          for (int l = 0; l < m.n_levels; ++l) {
+            const LevelShape& lv = m.levels[static_cast<std::size_t>(l)];
+            const float cx = rx * static_cast<float>(lv.w) - 0.5f;
+            const float cy = ry * static_cast<float>(lv.h) - 0.5f;
+            for (int p = 0; p < m.n_points; ++p, i += 2) fn(i, cx, cy);
+          }
         }
       }
-    }
-  }
-  const quant::QuantSpec spec = quant::QuantSpec::fit(offsets.data(), bits);
-  for (std::int64_t q = 0; q < n; ++q) {
-    const float rx = ref_norm(q, 0);
-    const float ry = ref_norm(q, 1);
-    for (int h = 0; h < m.n_heads; ++h) {
-      for (int l = 0; l < m.n_levels; ++l) {
-        const LevelShape& lv = m.levels[static_cast<std::size_t>(l)];
-        const float cx = rx * static_cast<float>(lv.w) - 0.5f;
-        const float cy = ry * static_cast<float>(lv.h) - 0.5f;
-        for (int p = 0; p < m.n_points; ++p) {
-          const float ox = quant::dequantize_value(
-              quant::quantize_value(offsets(q, h, l, p, 0), spec), spec);
-          const float oy = quant::dequantize_value(
-              quant::quantize_value(offsets(q, h, l, p, 1), spec), spec);
-          locs(q, h, l, p, 0) = cx + ox;
-          locs(q, h, l, p, 1) = cy + oy;
-        }
-      }
-    }
-  }
+    }, min_queries);
+  };
+
+  const std::span<float> loc = locs.data();
+  for_points([&](std::size_t i, float cx, float cy) {
+    loc[i] -= cx;
+    loc[i + 1] -= cy;
+  });
+  const quant::QuantSpec spec = quant::QuantSpec::fit(loc, bits);
+  const auto requantize = [&spec](float offset) {
+    return quant::dequantize_value(quant::quantize_value(offset, spec), spec);
+  };
+  for_points([&](std::size_t i, float cx, float cy) {
+    loc[i] = cx + requantize(loc[i]);
+    loc[i + 1] = cy + requantize(loc[i + 1]);
+  });
 }
 
 }  // namespace
@@ -174,7 +182,8 @@ void EncoderPipeline::build_reference(const kernels::Backend* backend_opt) const
     LayerRef lr;
     lr.fields = wl_.layer_fields(layer);
     lr.probs = backend.softmax_lastdim(lr.fields.logits);
-    const Tensor v_ref = backend.matmul(x_ref, layer_value_weights(m, layer));
+    lr.w_value = layer_value_weights(m, layer);
+    const Tensor v_ref = backend.matmul(x_ref, lr.w_value);
     std::shared_ptr<const kernels::SamplingPlan> plan;
     std::shared_ptr<const kernels::LocalityPlan> locality;
     if (backend.wants_plan()) {
@@ -250,7 +259,7 @@ EncoderResult EncoderPipeline::run(const PruneConfig& cfg,
     const nn::MsdaFields& fields = lref.fields;
     const Tensor& probs = lref.probs;
     const Tensor& out_ref = lref.out_ref;
-    const Tensor w_value = layer_value_weights(m, layer);
+    const Tensor& w_value = lref.w_value;
 
     // ---------------- DEFA block -------------------------------
     LayerRunStats ls;
@@ -259,17 +268,23 @@ EncoderResult EncoderPipeline::run(const PruneConfig& cfg,
     ls.total_pixels = m.n_in();
 
     // (1) INTn generation of logits and offsets (the MM-mode datapath),
-    // then range narrowing of the resulting sampling locations.
-    Tensor locs = fields.locs;
-    Tensor probs_hw = probs;
+    // then range narrowing of the resulting sampling locations.  The
+    // cached dense fields are used as-is unless one of these moves them.
+    const Tensor* locs = &fields.locs;
+    const Tensor* probs_hw = &probs;
+    Tensor moved_locs;
+    Tensor quant_probs;
     if (cfg.quantize || cfg.narrow) {
       DEFA_TRACE_SPAN_ARG("quantize_narrow", "kernel", "layer", layer);
+      moved_locs = fields.locs;
+      locs = &moved_locs;
       if (cfg.quantize) {
-        quantize_offsets(m, wl_.ref_norm(), cfg.bits, locs);
-        probs_hw = backend.softmax_lastdim(quant::fake_quantize(fields.logits, cfg.bits));
+        quantize_offsets(m, wl_.ref_norm(), cfg.bits, moved_locs);
+        quant_probs = backend.softmax_lastdim(quant::fake_quantize(fields.logits, cfg.bits));
+        probs_hw = &quant_probs;
       }
       if (cfg.narrow) {
-        ls.clamp = prune::clamp_to_range(m, wl_.ref_norm(), cfg.ranges, locs);
+        ls.clamp = prune::clamp_to_range(m, wl_.ref_norm(), cfg.ranges, moved_locs);
       }
     }
     // Quantization and range narrowing move the sampling locations; only
@@ -280,7 +295,7 @@ EncoderResult EncoderPipeline::run(const PruneConfig& cfg,
     std::shared_ptr<const kernels::LocalityPlan> locality;
     if (dense_geometry && backend.wants_plan()) {
       DEFA_TRACE_SPAN_ARG("plan_build", "kernel", "layer", layer);
-      plan = plan_cache_.get(layer_plan_key(layer), m, locs);
+      plan = plan_cache_.get(layer_plan_key(layer), m, *locs);
       if (backend.wants_locality()) {
         const std::int64_t tile_elems = kernels::locality_tile_elems();
         locality = plan_cache_.get_locality(layer_locality_key(layer, tile_elems), m,
@@ -292,7 +307,7 @@ EncoderResult EncoderPipeline::run(const PruneConfig& cfg,
     prune::PointMask pmask(m);
     if (cfg.pap) {
       DEFA_TRACE_SPAN_ARG("pap_prune", "kernel", "layer", layer);
-      pmask = prune::pap_prune(m, probs_hw, cfg.pap_tau, &ls.pap);
+      pmask = prune::pap_prune(m, *probs_hw, cfg.pap_tau, &ls.pap);
     }
     ls.kept_points = pmask.kept_count();
 
@@ -324,14 +339,14 @@ EncoderResult EncoderPipeline::run(const PruneConfig& cfg,
       opt.backend = &backend;
       opt.plan = plan.get();
       opt.locality = locality.get();
-      out = run_msgs(m, v, probs_hw, locs, opt);
+      out = run_msgs(m, v, *probs_hw, *locs, opt);
     }
 
     // (5) frequency counting -> fmap mask for the next block
     prune::FmapMask next_fmask(m);
     if (cfg.fwp) {
       DEFA_TRACE_SPAN_ARG("fwp_prune", "kernel", "layer", layer);
-      const prune::FreqCounter freq = prune::count_sampled_frequency(m, locs, pmask);
+      const prune::FreqCounter freq = prune::count_sampled_frequency(m, *locs, pmask);
       next_fmask = prune::fwp_prune(m, freq, cfg.fwp_k, &ls.fwp);
     }
 

@@ -145,6 +145,7 @@ class EncoderPipeline {
     nn::MsdaFields fields;  ///< scene-driven logits + (unclamped) locations
     Tensor probs;           ///< dense softmax probabilities
     Tensor out_ref;         ///< dense fp32 block output
+    Tensor w_value;         ///< fp32 value-projection weights
   };
   /// Thread-safe: builds the reference exactly once (std::call_once).
   /// The first caller's backend performs the build (nullptr = process

@@ -2,10 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
+#include <mutex>
 
 #include "common/parallel.h"
 
 namespace defa::prune {
+
+namespace {
+
+/// Sampling points (two location floats each) below which clamping stays
+/// on the calling thread.
+constexpr std::int64_t kParallelPoints = 16 * 1024;
+
+}  // namespace
 
 ClampStats clamp_to_range(const ModelConfig& m, const Tensor& ref_norm,
                           const RangeSpec& ranges, Tensor& locs) {
@@ -20,34 +29,47 @@ ClampStats clamp_to_range(const ModelConfig& m, const Tensor& ref_norm,
   std::vector<std::int64_t> level_clamped(static_cast<std::size_t>(m.n_levels), 0);
   std::int64_t clamped = 0;
   double max_excess = 0.0;
+  std::mutex mu;
 
-  for (std::int64_t q = 0; q < n; ++q) {
-    const float rx = ref_norm(q, 0);
-    const float ry = ref_norm(q, 1);
-    for (int h = 0; h < m.n_heads; ++h) {
-      for (int l = 0; l < m.n_levels; ++l) {
-        const LevelShape& lv = m.levels[static_cast<std::size_t>(l)];
-        const float cx = rx * static_cast<float>(lv.w) - 0.5f;
-        const float cy = ry * static_cast<float>(lv.h) - 0.5f;
-        const float r = static_cast<float>(ranges.radius(l));
-        for (int p = 0; p < m.n_points; ++p) {
-          float& x = locs(q, h, l, p, 0);
-          float& y = locs(q, h, l, p, 1);
-          const float nx = std::clamp(x, cx - r, cx + r);
-          const float ny = std::clamp(y, cy - r, cy + r);
-          const double excess =
-              std::max(std::abs(static_cast<double>(x - nx)), std::abs(static_cast<double>(y - ny)));
-          if (excess > 0.0) {
-            ++clamped;
-            ++level_clamped[static_cast<std::size_t>(l)];
-            max_excess = std::max(max_excess, excess);
-            x = nx;
-            y = ny;
+  // Queries are independent; each chunk's integer counts and max merge
+  // exactly, so the stats do not depend on the chunking.
+  const std::int64_t per_query = static_cast<std::int64_t>(m.n_heads) * m.n_levels * m.n_points;
+  parallel_for(0, n, [&](std::int64_t q0, std::int64_t q1) {
+    std::vector<std::int64_t> chunk_level(static_cast<std::size_t>(m.n_levels), 0);
+    double chunk_excess = 0.0;
+    for (std::int64_t q = q0; q < q1; ++q) {
+      const float rx = ref_norm(q, 0);
+      const float ry = ref_norm(q, 1);
+      for (int h = 0; h < m.n_heads; ++h) {
+        for (int l = 0; l < m.n_levels; ++l) {
+          const LevelShape& lv = m.levels[static_cast<std::size_t>(l)];
+          const float cx = rx * static_cast<float>(lv.w) - 0.5f;
+          const float cy = ry * static_cast<float>(lv.h) - 0.5f;
+          const float r = static_cast<float>(ranges.radius(l));
+          for (int p = 0; p < m.n_points; ++p) {
+            float& x = locs(q, h, l, p, 0);
+            float& y = locs(q, h, l, p, 1);
+            const float nx = std::clamp(x, cx - r, cx + r);
+            const float ny = std::clamp(y, cy - r, cy + r);
+            const double excess = std::max(std::abs(static_cast<double>(x - nx)),
+                                           std::abs(static_cast<double>(y - ny)));
+            if (excess > 0.0) {
+              ++chunk_level[static_cast<std::size_t>(l)];
+              chunk_excess = std::max(chunk_excess, excess);
+              x = nx;
+              y = ny;
+            }
           }
         }
       }
     }
-  }
+    const std::lock_guard<std::mutex> lock(mu);
+    for (int l = 0; l < m.n_levels; ++l) {
+      level_clamped[static_cast<std::size_t>(l)] += chunk_level[static_cast<std::size_t>(l)];
+      clamped += chunk_level[static_cast<std::size_t>(l)];
+    }
+    max_excess = std::max(max_excess, chunk_excess);
+  }, std::max<std::int64_t>(1, kParallelPoints / per_query));
 
   stats.clamped_points = clamped;
   stats.max_excess_px = max_excess;

@@ -5,13 +5,25 @@
 /// MSDeformAttn modules to INT12 (Sec. 5.1.1) and reports that INT8 loses
 /// 9.7 AP on average; both widths are supported so the ablation can be
 /// reproduced.
+///
+/// Every whole-tensor operation here (fit, QTensor construction and
+/// dequantization, fake_quantize) runs as one `parallel_for` over elements
+/// with a `kParallelGrain` floor, so small tensors stay inline.  Results are
+/// bit-identical at any thread count: elements are independent, and the one
+/// reduction (the max-abs in `fit`) is a max, which is order-free.
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <span>
 
 #include "tensor/tensor.h"
 
 namespace defa::quant {
+
+/// Tensors with fewer elements than this are quantized on the calling
+/// thread; larger ones are split across the worker pool.
+inline constexpr std::int64_t kParallelGrain = 32 * 1024;
 
 /// Quantization parameters: value = code * scale, codes in
 /// [-(2^(bits-1)-1), 2^(bits-1)-1] (symmetric, no negative-extreme code).
@@ -26,8 +38,22 @@ struct QuantSpec {
   [[nodiscard]] static QuantSpec fit(std::span<const float> data, int bits);
 };
 
-/// Quantize a single value (round-to-nearest, saturating).
-[[nodiscard]] std::int32_t quantize_value(float v, const QuantSpec& spec) noexcept;
+/// Quantize a single value: round to nearest with ties away from zero
+/// (std::lround's rule), saturating to [qmin, qmax] for any input
+/// including +-inf; NaN maps to 0.
+[[nodiscard]] inline std::int32_t quantize_value(float v, const QuantSpec& spec) noexcept {
+  const float scaled = v / spec.scale;
+  if (std::isnan(scaled)) return 0;
+  // Saturate before converting: |scaled| >= 2^31 does not fit an int32
+  // and would wrap to the wrong sign.
+  const float limit = static_cast<float>(spec.qmax());
+  const float clamped = std::clamp(scaled, -limit, limit);
+  // Inline lround: truncation toward zero is exact here, and so is the
+  // remainder (it keeps clamped's low mantissa bits).
+  const auto whole = static_cast<std::int32_t>(clamped);
+  const float frac = clamped - static_cast<float>(whole);
+  return whole + (frac >= 0.5f ? 1 : 0) - (frac <= -0.5f ? 1 : 0);
+}
 [[nodiscard]] inline float dequantize_value(std::int32_t code, const QuantSpec& spec) noexcept {
   return static_cast<float>(code) * spec.scale;
 }

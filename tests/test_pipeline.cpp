@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "core/pipeline.h"
 
 namespace defa::core {
@@ -157,6 +160,86 @@ TEST(PrunedFlops, ScalesLinearly) {
   EXPECT_NEAR(half.msgs_bi, full.msgs_bi / 2, 1e-6);
   EXPECT_NEAR(half.value_proj, full.value_proj / 2, full.value_proj * 0.02);
   EXPECT_DOUBLE_EQ(half.attn_proj, full.attn_proj);
+}
+
+// ------------------------------------------------------------------ goldens
+// Results of the serial INTn quantization and range-narrowing stage,
+// pinned so the parallel stage is held to them bit for bit on every
+// backend and at any thread count.
+
+/// 4-level pyramid halving with ceil from an h x w base, 2 blocks.
+ModelConfig pyramid_model(int h, int w) {
+  ModelConfig m;
+  m.name = "golden" + std::to_string(h) + "x" + std::to_string(w);
+  m.n_layers = 2;
+  m.seed = 7;
+  for (int l = 0; l < 4; ++l) {
+    m.levels.push_back(LevelShape{h, w});
+    h = (h + 1) / 2;
+    w = (w + 1) / 2;
+  }
+  m.validate();
+  return m;
+}
+
+struct GoldenLayer {
+  std::int64_t kept_points;
+  std::int64_t kept_pixels;
+  std::int64_t clamped_points;
+  std::uint64_t out_nrmse_bits;
+};
+
+void expect_golden(const ModelConfig& m, std::uint64_t scene_seed, const PruneConfig& cfg,
+                   std::uint64_t final_nrmse_bits, const std::vector<GoldenLayer>& layers) {
+  workload::SceneParams p;
+  p.seed = scene_seed;
+  const workload::SceneWorkload wl(m, p);
+  const EncoderPipeline pipe(wl);
+  const EncoderResult r = pipe.run(cfg);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.final_nrmse), final_nrmse_bits)
+      << "final_nrmse " << r.final_nrmse;
+  ASSERT_EQ(r.layers.size(), layers.size());
+  for (std::size_t i = 0; i < layers.size(); ++i) {
+    SCOPED_TRACE("layer " + std::to_string(i));
+    EXPECT_EQ(r.layers[i].kept_points, layers[i].kept_points);
+    EXPECT_EQ(r.layers[i].kept_pixels, layers[i].kept_pixels);
+    EXPECT_EQ(r.layers[i].clamp.clamped_points, layers[i].clamped_points);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.layers[i].out_nrmse), layers[i].out_nrmse_bits);
+  }
+}
+
+TEST(PipelineGolden, SweepShapeInt12) {
+  // The threshold-sweep request class: 50x67 base, all four techniques at
+  // off-default thresholds, INT12.
+  const ModelConfig m = pyramid_model(50, 67);
+  PruneConfig cfg;
+  cfg.label = "sweep";
+  cfg.pap = true;
+  cfg.pap_tau = 0.0312;
+  cfg.fwp = true;
+  cfg.fwp_k = 0.645;
+  cfg.narrow = true;
+  cfg.ranges = RangeSpec::level_wise_default(m.n_levels);
+  cfg.quantize = true;
+  cfg.bits = 12;
+  expect_golden(m, 20241017, cfg, 0x3fcae09f93b0264fULL,
+                {{80898, 4484, 24418, 0x3fbf9ba920e69de6ULL},
+                 {81643, 1829, 24583, 0x3fd25f55d646318aULL}});
+}
+
+TEST(PipelineGolden, DefaDefault16x20) {
+  const ModelConfig m = pyramid_model(16, 20);
+  expect_golden(m, 3, PruneConfig::defa_default(m), 0x3fc3f004f9364aecULL,
+                {{7994, 426, 1481, 0x3fb8c67cb752197fULL},
+                 {8058, 208, 1452, 0x3fcff9fc0af4989eULL}});
+}
+
+TEST(PipelineGolden, QuantOnlyInt8) {
+  // Quantization without narrowing: the offsets move, nothing is clamped.
+  const ModelConfig m = pyramid_model(16, 20);
+  expect_golden(m, 5, PruneConfig::only_quant(8), 0x3fb5356985fdedd3ULL,
+                {{54528, 426, 0, 0x3fb8455f380cd099ULL},
+                 {54528, 426, 0, 0x3fb895eee53be332ULL}});
 }
 
 }  // namespace

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+
 #include "nn/softmax.h"
 #include "prune/fwp.h"
 #include "prune/masks.h"
@@ -276,6 +280,77 @@ TEST_P(RangeMonotone, WiderRangeClampsFewer) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Radii, RangeMonotone, ::testing::Values(2, 4, 6, 8));
+
+/// Serial recomputation of clamp_to_range, written independently of the
+/// library's chunked loop.
+ClampStats serial_clamp(const ModelConfig& m, const Tensor& ref, const RangeSpec& ranges,
+                        Tensor& locs) {
+  ClampStats stats;
+  stats.total_points = m.n_in() * m.n_heads * m.n_levels * m.n_points;
+  std::vector<std::int64_t> per_level(static_cast<std::size_t>(m.n_levels), 0);
+  for (std::int64_t q = 0; q < m.n_in(); ++q) {
+    for (int h = 0; h < m.n_heads; ++h) {
+      for (int l = 0; l < m.n_levels; ++l) {
+        const LevelShape& lv = m.levels[static_cast<std::size_t>(l)];
+        const float cx = ref(q, 0) * static_cast<float>(lv.w) - 0.5f;
+        const float cy = ref(q, 1) * static_cast<float>(lv.h) - 0.5f;
+        const float r = static_cast<float>(ranges.radius(l));
+        for (int p = 0; p < m.n_points; ++p) {
+          float& x = locs(q, h, l, p, 0);
+          float& y = locs(q, h, l, p, 1);
+          const float nx = std::clamp(x, cx - r, cx + r);
+          const float ny = std::clamp(y, cy - r, cy + r);
+          const double excess = std::max(std::abs(static_cast<double>(x - nx)),
+                                         std::abs(static_cast<double>(y - ny)));
+          if (excess > 0.0) {
+            ++stats.clamped_points;
+            ++per_level[static_cast<std::size_t>(l)];
+            stats.max_excess_px = std::max(stats.max_excess_px, excess);
+            x = nx;
+            y = ny;
+          }
+        }
+      }
+    }
+  }
+  const double per_level_total = static_cast<double>(m.n_in()) * m.n_heads * m.n_points;
+  for (std::int64_t c : per_level) {
+    stats.level_fraction.push_back(static_cast<double>(c) / per_level_total);
+  }
+  return stats;
+}
+
+/// The parallel clamp reproduces a serial pass bit for bit: same location
+/// bytes, same counts, same max excess, same per-level fractions.
+class RangeMatchesSerial : public ::testing::TestWithParam<int> {};
+
+TEST_P(RangeMatchesSerial, LocsAndStatsBitIdentical) {
+  // small: 1700 queries x 128 points, several parallel chunks.
+  const ModelConfig m = ModelConfig::small();
+  workload::SceneParams sp;
+  sp.seed = m.seed;
+  const workload::SceneWorkload wl(m, sp);
+  const int radius = GetParam();
+  const RangeSpec ranges = radius > 0 ? RangeSpec::unified(m.n_levels, radius)
+                                      : RangeSpec::level_wise_default(m.n_levels);
+  Tensor expected = wl.layer_fields(1).locs;
+  Tensor actual = expected;
+  const ClampStats want = serial_clamp(m, wl.ref_norm(), ranges, expected);
+  const ClampStats got = clamp_to_range(m, wl.ref_norm(), ranges, actual);
+
+  ASSERT_GT(want.clamped_points, 0);
+  ASSERT_EQ(actual.numel(), expected.numel());
+  EXPECT_EQ(std::memcmp(actual.data().data(), expected.data().data(),
+                        expected.data().size_bytes()),
+            0);
+  EXPECT_EQ(got.total_points, want.total_points);
+  EXPECT_EQ(got.clamped_points, want.clamped_points);
+  EXPECT_EQ(got.max_excess_px, want.max_excess_px);
+  EXPECT_EQ(got.level_fraction, want.level_fraction);
+}
+
+// 0 = DEFA's level-wise default radii; the others are unified radii.
+INSTANTIATE_TEST_SUITE_P(Radii, RangeMatchesSerial, ::testing::Values(0, 1, 3));
 
 TEST(Range, WindowBytesMatchSpec) {
   const ModelConfig m = ModelConfig::deformable_detr();

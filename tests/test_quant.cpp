@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <tuple>
 
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "nn/bilinear.h"
@@ -51,12 +56,89 @@ TEST(Quantize, SaturatesAtRangeEnds) {
   EXPECT_EQ(quantize_value(-1e9f, spec), spec.qmin());
 }
 
+TEST(Quantize, SaturatesBeyondInt32WithTheRightSign) {
+  // |v / scale| >= 2^31 does not fit an int32 code: it must still
+  // saturate toward its own sign.
+  QuantSpec spec;
+  spec.bits = 12;
+  spec.scale = 1.0f;
+  const float inf = std::numeric_limits<float>::infinity();
+  EXPECT_EQ(quantize_value(3e9f, spec), 2047);
+  EXPECT_EQ(quantize_value(-3e9f, spec), -2047);
+  EXPECT_EQ(quantize_value(1e12f, spec), 2047);
+  EXPECT_EQ(quantize_value(-1e12f, spec), -2047);
+  EXPECT_EQ(quantize_value(std::numeric_limits<float>::max(), spec), 2047);
+  EXPECT_EQ(quantize_value(inf, spec), 2047);
+  EXPECT_EQ(quantize_value(-inf, spec), -2047);
+  // Overflow in the division itself saturates too.
+  spec.scale = 1e-30f;
+  EXPECT_EQ(quantize_value(1e10f, spec), 2047);
+  EXPECT_EQ(quantize_value(-1e10f, spec), -2047);
+}
+
+TEST(Quantize, NanMapsToCodeZero) {
+  QuantSpec spec;
+  spec.bits = 12;
+  spec.scale = 0.5f;
+  EXPECT_EQ(quantize_value(std::numeric_limits<float>::quiet_NaN(), spec), 0);
+  EXPECT_EQ(quantize_value(-std::numeric_limits<float>::quiet_NaN(), spec), 0);
+}
+
+TEST(Quantize, InRangeRoundsHalfAwayFromZero) {
+  QuantSpec spec;
+  spec.bits = 12;
+  spec.scale = 1.0f;
+  EXPECT_EQ(quantize_value(0.5f, spec), 1);
+  EXPECT_EQ(quantize_value(-0.5f, spec), -1);
+  EXPECT_EQ(quantize_value(2.5f, spec), 3);
+  EXPECT_EQ(quantize_value(-2.5f, spec), -3);
+  EXPECT_EQ(quantize_value(std::nextafter(0.5f, 0.0f), spec), 0);
+  EXPECT_EQ(quantize_value(2046.5f, spec), 2047);
+  EXPECT_EQ(quantize_value(2047.4f, spec), 2047);
+  EXPECT_EQ(quantize_value(-2047.6f, spec), -2047);
+}
+
 TEST(Quantize, SymmetricAroundZero) {
   QuantSpec spec;
   spec.bits = 12;
   spec.scale = 0.01f;
   EXPECT_EQ(quantize_value(0.123f, spec), -quantize_value(-0.123f, spec));
   EXPECT_EQ(quantize_value(0.0f, spec), 0);
+}
+
+TEST(Quantize, InlineRoundingMatchesLroundOnEveryReachableFloat) {
+  // A fitted spec clamps v / scale into [-qmax, qmax] with qmax <= 32767
+  // before rounding.  With scale 1 and 16 bits, quantize_value is exactly
+  // clamp + round, so compare it with std::lround on every float of
+  // magnitude 2^-2 ... 2^15, both signs.  Below 2^-2 both return 0: the
+  // truncation is 0 and the remainder is the input itself, under 0.5.
+  QuantSpec spec;
+  spec.bits = 16;
+  spec.scale = 1.0f;
+  const std::int64_t lo = std::bit_cast<std::uint32_t>(0.25f);
+  const std::int64_t hi = std::bit_cast<std::uint32_t>(32768.0f);
+  std::atomic<std::int64_t> mismatches{0};
+  std::atomic<std::uint32_t> first_bad{0};
+  parallel_for(lo, hi + 1, [&](std::int64_t b0, std::int64_t b1) {
+    std::int64_t bad = 0;
+    for (std::int64_t b = b0; b < b1; ++b) {
+      const float x = std::bit_cast<float>(static_cast<std::uint32_t>(b));
+      for (const float v : {x, -x}) {
+        const long want = std::clamp<long>(std::lround(v), spec.qmin(), spec.qmax());
+        if (quantize_value(v, spec) != want) {
+          ++bad;
+          std::uint32_t none = 0;
+          first_bad.compare_exchange_strong(none, std::bit_cast<std::uint32_t>(v));
+        }
+      }
+    }
+    mismatches += bad;
+  });
+  EXPECT_EQ(mismatches.load(), 0)
+      << "first mismatch at " << std::bit_cast<float>(first_bad.load());
+  EXPECT_EQ(quantize_value(std::nextafter(0.25f, 0.0f), spec), 0);
+  EXPECT_EQ(quantize_value(std::numeric_limits<float>::denorm_min(), spec), 0);
+  EXPECT_EQ(quantize_value(-0.0f, spec), 0);
 }
 
 class QuantWidthError : public ::testing::TestWithParam<int> {};
@@ -93,6 +175,101 @@ TEST(QTensor, PreservesShapeAndSpec) {
   const Tensor d = q.dequantize();
   EXPECT_EQ(d.shape(), t.shape());
 }
+
+// ----------------------------------------- parallel quantizer vs serial golden
+// The whole-tensor operations split work across threads above
+// kParallelGrain elements; they must match a plain serial loop bit for bit.
+
+QuantSpec serial_fit(std::span<const float> data, int bits) {
+  float max_abs = 0.0f;
+  for (float v : data) max_abs = std::max(max_abs, std::abs(v));
+  QuantSpec spec;
+  spec.bits = bits;
+  spec.scale = max_abs > 0.0f ? max_abs / static_cast<float>(spec.qmax()) : 1.0f;
+  return spec;
+}
+
+std::int16_t serial_code(float v, const QuantSpec& spec) {
+  const long code = std::lround(v / spec.scale);
+  return static_cast<std::int16_t>(
+      std::clamp<long>(code, spec.qmin(), spec.qmax()));
+}
+
+void expect_matches_serial(const Tensor& t, int bits) {
+  const QuantSpec want = serial_fit(t.data(), bits);
+  const QuantSpec got = QuantSpec::fit(t.data(), bits);
+  EXPECT_EQ(got.bits, want.bits);
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(got.scale), std::bit_cast<std::uint32_t>(want.scale));
+
+  const QTensor q(t, bits);
+  const Tensor round_trip = q.dequantize();
+  const Tensor fake = fake_quantize(t, bits);
+  ASSERT_EQ(q.numel(), t.numel());
+  std::int64_t code_mismatches = 0;
+  std::int64_t value_mismatches = 0;
+  for (std::int64_t i = 0; i < t.numel(); ++i) {
+    const std::int16_t code = serial_code(t.at_flat(i), want);
+    const float value = dequantize_value(code, want);
+    if (q.code(i) != code) ++code_mismatches;
+    if (std::bit_cast<std::uint32_t>(fake.at_flat(i)) != std::bit_cast<std::uint32_t>(value) ||
+        std::bit_cast<std::uint32_t>(round_trip.at_flat(i)) !=
+            std::bit_cast<std::uint32_t>(value)) {
+      ++value_mismatches;
+    }
+  }
+  EXPECT_EQ(code_mismatches, 0);
+  EXPECT_EQ(value_mismatches, 0);
+}
+
+class ParallelQuantizer
+    : public ::testing::TestWithParam<std::tuple<std::int64_t, int>> {};
+
+TEST_P(ParallelQuantizer, TiesSignedZeroAndNegativeMaxMatchSerial) {
+  const auto [n, bits] = GetParam();
+  QuantSpec unit;
+  unit.bits = bits;
+  const float qmax = static_cast<float>(unit.qmax());
+  Rng rng(static_cast<std::uint64_t>(n) * 31 + static_cast<std::uint64_t>(bits));
+  Tensor t({n});
+  for (std::int64_t i = 0; i < n; ++i) {
+    const float u = static_cast<float>(rng.uniform(-qmax, qmax));
+    switch (i % 4) {
+      case 0:  // exact .5 tie once the scale is 1
+        t.at_flat(i) = std::floor(u) + 0.5f;
+        break;
+      case 1:
+        t.at_flat(i) = -0.0f;
+        break;
+      default:
+        t.at_flat(i) = u;
+    }
+  }
+  // The max-abs element is negative and sits in the last chunk, so the
+  // fitted scale is exactly 1 and every tie above is exact.
+  t.at_flat(n - 1) = -qmax;
+  ASSERT_EQ(serial_fit(t.data(), bits).scale, 1.0f);
+  expect_matches_serial(t, bits);
+}
+
+TEST_P(ParallelQuantizer, RandomNormalMatchesSerial) {
+  const auto [n, bits] = GetParam();
+  Rng rng(static_cast<std::uint64_t>(n) + 7);
+  expect_matches_serial(Tensor::randn({n}, rng, 0.0f, 3.0f), bits);
+}
+
+TEST_P(ParallelQuantizer, AllZeroGetsUnitScale) {
+  const auto [n, bits] = GetParam();
+  Tensor t({n});
+  for (std::int64_t i = 0; i < n; i += 2) t.at_flat(i) = -0.0f;
+  EXPECT_EQ(QuantSpec::fit(t.data(), bits).scale, 1.0f);
+  expect_matches_serial(t, bits);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    GrainEdges, ParallelQuantizer,
+    ::testing::Combine(::testing::Values(kParallelGrain - 1, kParallelGrain,
+                                         4 * kParallelGrain + 3),
+                       ::testing::Values(8, 12, 16)));
 
 TEST(QuantizeFraction, GridBehaviour) {
   EXPECT_EQ(quantize_fraction(0.0f, 12), 0.0f);
