@@ -26,8 +26,11 @@ MsgsPerf MsgsEngine::run(const Tensor& locs, const prune::PointMask& pmask) cons
   const int shards = hardware_threads();
   std::vector<MsgsPerf> partial(static_cast<std::size_t>(shards));
   const std::int64_t chunk = (n + shards - 1) / shards;
+  // Per sampling point: locate, collect its bank accesses and analyze the
+  // group, ~50 ns.
+  const std::int64_t shard_work = chunk * m_.points_per_query() * 48;
 
-  parallel_for(0, shards, [&](std::int64_t s_begin, std::int64_t s_end) {
+  parallel_for(0, shards, shard_work, [&](std::int64_t s_begin, std::int64_t s_end) {
     for (std::int64_t s = s_begin; s < s_end; ++s) {
       MsgsPerf perf;
       const std::int64_t q_begin = s * chunk;
@@ -113,7 +116,7 @@ MsgsPerf MsgsEngine::run(const Tensor& locs, const prune::PointMask& pmask) cons
       }
       partial[static_cast<std::size_t>(s)] = perf;
     }
-  }, /*min_parallel=*/1);
+  });
 
   MsgsPerf total;
   for (const MsgsPerf& p : partial) total += p;

@@ -13,27 +13,36 @@ int hardware_threads() {
   return static_cast<int>(std::clamp(hw, 1u, 32u));
 }
 
-void parallel_for(std::int64_t begin, std::int64_t end,
-                  const std::function<void(std::int64_t, std::int64_t)>& chunk_fn,
-                  std::int64_t min_parallel) {
-  DEFA_CHECK(begin <= end, "parallel_for: inverted range");
-  const std::int64_t n = end - begin;
-  if (n == 0) return;
-  ThreadPool& pool = ThreadPool::global();
-  const int concurrency = pool.size() + 1;  // workers + the calling thread
-  if (n < min_parallel || concurrency <= 1) {
-    chunk_fn(begin, end);
-    return;
-  }
+int parallel_concurrency() { return ThreadPool::global().size() + 1; }
+
+ChunkPlan parallel_chunks(std::int64_t n, std::int64_t work_per_item, int concurrency) {
+  DEFA_CHECK(n >= 0, "parallel_chunks: negative item count");
+  if (n == 0) return {};
+  // n * work_per_item < kMinParallelWork, without the overflow.
+  const bool small =
+      std::max<std::int64_t>(work_per_item, 1) < (kMinParallelWork + n - 1) / n;
+  if (small || concurrency <= 1) return {n, 1};
   // A few chunks per executor: dynamic grabbing load-balances uneven work,
   // and chunk boundaries depend only on (n, concurrency) so any
   // index-disjoint writes land identically regardless of scheduling.
   const std::int64_t max_chunks = static_cast<std::int64_t>(concurrency) * 4;
-  const std::int64_t chunk = (n + max_chunks - 1) / max_chunks;
-  const std::int64_t n_chunks = (n + chunk - 1) / chunk;
-  pool.run_indexed(n_chunks, concurrency, [&](std::int64_t c) {
-    const std::int64_t lo = begin + c * chunk;
-    chunk_fn(lo, std::min(lo + chunk, end));
+  const std::int64_t size = (n + max_chunks - 1) / max_chunks;
+  return {size, (n + size - 1) / size};
+}
+
+void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t work_per_item,
+                  const std::function<void(std::int64_t, std::int64_t)>& chunk_fn) {
+  DEFA_CHECK(begin <= end, "parallel_for: inverted range");
+  const int concurrency = parallel_concurrency();
+  const ChunkPlan plan = parallel_chunks(end - begin, work_per_item, concurrency);
+  if (plan.count == 0) return;
+  if (plan.count == 1) {
+    chunk_fn(begin, end);
+    return;
+  }
+  ThreadPool::global().run_indexed(plan.count, concurrency, [&](std::int64_t c) {
+    const std::int64_t lo = begin + c * plan.size;
+    chunk_fn(lo, std::min(lo + plan.size, end));
   });
 }
 

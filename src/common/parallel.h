@@ -10,14 +10,44 @@
 
 namespace defa {
 
+/// Work (in units of roughly one nanosecond of serial inner-loop work:
+/// one multiply-add, one element quantized) below which a loop runs on the
+/// calling thread.  Sized from the fork-join cost of the global pool on a
+/// 4-core x86-64 host with its workers asleep: fanning a loop out over 16
+/// chunks cost 15-20 us more than running it inline at the median, so
+/// with four executors fan-out can pay off only above ~27 us of serial
+/// work (that cost over the 3/4 of the work that leaves the caller).  The
+/// floor sits ~2.5x above that break-even, which absorbs per-site
+/// estimates that are off by that factor either way.
+inline constexpr std::int64_t kMinParallelWork = std::int64_t{1} << 16;
+
 /// Number of worker threads used by parallel_for (>= 1, capped).
 [[nodiscard]] int hardware_threads();
 
+/// Executors a parallel_for runs on: the global pool's workers plus the
+/// calling thread.
+[[nodiscard]] int parallel_concurrency();
+
+/// How parallel_for partitions a range: `count` chunks of `size` items
+/// (the last one may be shorter).  `count == 1` means the loop runs inline.
+struct ChunkPlan {
+  std::int64_t size = 0;
+  std::int64_t count = 0;
+};
+
+/// The chunking parallel_for uses for `n` items of `work_per_item` work
+/// each (values below 1 count as 1) on `concurrency` executors.  Inline
+/// (one chunk) when n * work_per_item < kMinParallelWork or there is a
+/// single executor; otherwise a few chunks per executor, with boundaries
+/// that depend only on (n, concurrency).
+[[nodiscard]] ChunkPlan parallel_chunks(std::int64_t n, std::int64_t work_per_item,
+                                        int concurrency = parallel_concurrency());
+
 /// Invoke `chunk_fn(begin, end)` over a partition of [begin, end) across
-/// worker threads.  Runs inline when the range is below `min_parallel`.
+/// worker threads, chunked by parallel_chunks(end - begin, work_per_item).
+/// `work_per_item` estimates one item's cost in kMinParallelWork's units.
 /// `chunk_fn` must be thread-safe for disjoint sub-ranges.
-void parallel_for(std::int64_t begin, std::int64_t end,
-                  const std::function<void(std::int64_t, std::int64_t)>& chunk_fn,
-                  std::int64_t min_parallel = 4096);
+void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t work_per_item,
+                  const std::function<void(std::int64_t, std::int64_t)>& chunk_fn);
 
 }  // namespace defa

@@ -48,6 +48,15 @@ struct ModelConfig {
   [[nodiscard]] int d_head() const noexcept { return d_model / n_heads; }
   /// Sampling points per query per head (N_l * N_p).
   [[nodiscard]] int points_per_head() const noexcept { return n_levels * n_points; }
+  /// Sampling points per query across all heads (N_h * N_l * N_p).
+  [[nodiscard]] std::int64_t points_per_query() const noexcept {
+    return static_cast<std::int64_t>(n_heads) * points_per_head();
+  }
+  /// Bilinear gather-accumulate work of one query (points_per_query() *
+  /// d_head): the parallel_for work estimate of every per-query MSGS loop.
+  [[nodiscard]] std::int64_t msgs_work_per_query() const noexcept {
+    return points_per_query() * d_head();
+  }
   /// Total flattened token count N_in = sum_l H_l * W_l.
   [[nodiscard]] std::int64_t n_in() const;
   /// Start offset of level `l` within the flattened token axis.

@@ -38,8 +38,7 @@ FlopCount pruned_flops(const ModelConfig& m, std::int64_t kept_points,
 }
 
 FlopCount dense_flops(const ModelConfig& m) {
-  const std::int64_t all_points =
-      m.n_in() * m.n_heads * m.n_levels * m.n_points;
+  const std::int64_t all_points = m.n_in() * m.points_per_query();
   return pruned_flops(m, all_points, m.n_in());
 }
 

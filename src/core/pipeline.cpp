@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <list>
 
 #include "common/parallel.h"
 #include "common/stats.h"
@@ -86,12 +87,64 @@ EncoderPipeline::EncoderPipeline(const workload::SceneWorkload& workload)
 
 namespace {
 
-/// Per-layer value-projection weights, deterministic in (model seed, layer).
-Tensor layer_value_weights(const ModelConfig& m, int layer) {
+struct WeightKey {
+  std::uint64_t seed = 0;
+  int d_model = 0;
+  int layer = 0;
+  bool operator==(const WeightKey&) const = default;
+};
+
+/// The value-weight cache: most recently used first.
+struct WeightCache {
+  std::mutex mu;
+  std::list<std::pair<WeightKey, std::shared_ptr<const Tensor>>> lru;
+
+  /// Caller holds `mu`.  Moves a hit to the front.
+  std::shared_ptr<const Tensor> find(const WeightKey& key) {
+    for (auto it = lru.begin(); it != lru.end(); ++it) {
+      if (it->first == key) {
+        lru.splice(lru.begin(), lru, it);
+        return it->second;
+      }
+    }
+    return nullptr;
+  }
+};
+
+WeightCache& weight_cache() {
+  static WeightCache cache;
+  return cache;
+}
+
+}  // namespace
+
+std::shared_ptr<const Tensor> layer_value_weights(const ModelConfig& m, int layer) {
+  const WeightKey key{m.seed, m.d_model, layer};
+  WeightCache& cache = weight_cache();
+  {
+    const std::lock_guard<std::mutex> lock(cache.mu);
+    if (auto hit = cache.find(key)) return hit;
+  }
+  // Built outside the lock: concurrent first uses of one key may each
+  // build it (identically), and the first to insert wins.
   Rng rng(mix_seed(m.seed, 0xBEEF, static_cast<std::uint64_t>(layer)));
   const float std = 1.0f / std::sqrt(static_cast<float>(m.d_model));
-  return Tensor::randn({m.d_model, m.d_model}, rng, 0.0f, std);
+  auto built = std::make_shared<const Tensor>(
+      Tensor::randn({m.d_model, m.d_model}, rng, 0.0f, std));
+  const std::lock_guard<std::mutex> lock(cache.mu);
+  if (auto hit = cache.find(key)) return hit;
+  cache.lru.emplace_front(key, built);
+  if (cache.lru.size() > kValueWeightCacheCapacity) cache.lru.pop_back();
+  return built;
 }
+
+std::size_t value_weight_cache_size() {
+  WeightCache& cache = weight_cache();
+  const std::lock_guard<std::mutex> lock(cache.mu);
+  return cache.lru.size();
+}
+
+namespace {
 
 /// Zero the value rows of FWP-pruned pixels (their projection is skipped
 /// by the hardware; downstream BI then reads zeros for those pixels).
@@ -114,14 +167,12 @@ void zero_pruned_rows(const ModelConfig& m, const prune::FmapMask& mask, Tensor&
 void quantize_offsets(const ModelConfig& m, const Tensor& ref_norm, int bits,
                       Tensor& locs) {
   const std::int64_t n = m.n_in();
-  const std::int64_t per_query = static_cast<std::int64_t>(m.n_heads) * m.points_per_head() * 2;
+  const std::int64_t per_query = m.points_per_query() * 2;
   DEFA_DCHECK(locs.numel() == n * per_query, "locs shape");
-  const std::int64_t min_queries =
-      std::max<std::int64_t>(1, quant::kParallelGrain / per_query);
   // Visit the flat index of every (query, head, level, point) x coordinate
   // (y follows it) with its level's reference center (cx, cy).
   const auto for_points = [&](const auto& fn) {
-    parallel_for(0, n, [&](std::int64_t q0, std::int64_t q1) {
+    parallel_for(0, n, per_query * quant::kQuantizeWork, [&](std::int64_t q0, std::int64_t q1) {
       for (std::int64_t q = q0; q < q1; ++q) {
         const float rx = ref_norm(q, 0);
         const float ry = ref_norm(q, 1);
@@ -135,7 +186,7 @@ void quantize_offsets(const ModelConfig& m, const Tensor& ref_norm, int bits,
           }
         }
       }
-    }, min_queries);
+    });
   };
 
   const std::span<float> loc = locs.data();
@@ -183,7 +234,7 @@ void EncoderPipeline::build_reference(const kernels::Backend* backend_opt) const
     lr.fields = wl_.layer_fields(layer);
     lr.probs = backend.softmax_lastdim(lr.fields.logits);
     lr.w_value = layer_value_weights(m, layer);
-    const Tensor v_ref = backend.matmul(x_ref, lr.w_value);
+    const Tensor v_ref = backend.matmul(x_ref, *lr.w_value);
     std::shared_ptr<const kernels::SamplingPlan> plan;
     std::shared_ptr<const kernels::LocalityPlan> locality;
     if (backend.wants_plan()) {
@@ -233,7 +284,7 @@ EncoderResult EncoderPipeline::run(const PruneConfig& cfg,
     for (int layer = 0; layer < m.n_layers; ++layer) {
       LayerRunStats ls;
       ls.layer = layer;
-      ls.total_points = m.n_in() * m.n_heads * m.n_levels * m.n_points;
+      ls.total_points = m.n_in() * m.points_per_query();
       ls.kept_points = ls.total_points;
       ls.total_pixels = m.n_in();
       ls.kept_pixels = ls.total_pixels;
@@ -259,12 +310,12 @@ EncoderResult EncoderPipeline::run(const PruneConfig& cfg,
     const nn::MsdaFields& fields = lref.fields;
     const Tensor& probs = lref.probs;
     const Tensor& out_ref = lref.out_ref;
-    const Tensor& w_value = lref.w_value;
+    const Tensor& w_value = *lref.w_value;
 
     // ---------------- DEFA block -------------------------------
     LayerRunStats ls;
     ls.layer = layer;
-    ls.total_points = m.n_in() * m.n_heads * m.n_levels * m.n_points;
+    ls.total_points = m.n_in() * m.points_per_query();
     ls.total_pixels = m.n_in();
 
     // (1) INTn generation of logits and offsets (the MM-mode datapath),

@@ -14,6 +14,7 @@
 /// masks feed the cycle-accurate simulator, and the kept/total counts feed
 /// the reduction figures (Fig. 6b).
 
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -105,6 +106,19 @@ struct EncoderResult {
   }
 };
 
+/// Most distinct (seed, d_model, layer) weight matrices the value-weight
+/// cache keeps; the least recently used one is dropped beyond this.
+inline constexpr std::size_t kValueWeightCacheCapacity = 16;
+
+/// Value-projection weights of encoder block `layer`: a d_model x d_model
+/// N(0, 1/d_model) matrix drawn from (model seed, layer).  They are model
+/// parameters shared by every scene of a model, so each is built once and
+/// served from a thread-safe LRU cache keyed by (seed, d_model, layer).
+[[nodiscard]] std::shared_ptr<const Tensor> layer_value_weights(const ModelConfig& m,
+                                                                int layer);
+/// Number of weight matrices the cache holds (at most the capacity).
+[[nodiscard]] std::size_t value_weight_cache_size();
+
 /// Runs the multi-block encoder on one synthetic workload.
 ///
 /// The dense fp32 reference trajectory (sampling fields, probabilities and
@@ -145,7 +159,7 @@ class EncoderPipeline {
     nn::MsdaFields fields;  ///< scene-driven logits + (unclamped) locations
     Tensor probs;           ///< dense softmax probabilities
     Tensor out_ref;         ///< dense fp32 block output
-    Tensor w_value;         ///< fp32 value-projection weights
+    std::shared_ptr<const Tensor> w_value;  ///< fp32 value-projection weights
   };
   /// Thread-safe: builds the reference exactly once (std::call_once).
   /// The first caller's backend performs the build (nullptr = process

@@ -65,7 +65,7 @@ void run_fp32_impl(const ModelConfig& m, const Tensor& values, const Tensor& pro
   const std::vector<float> zero_row(static_cast<std::size_t>(dh), 0.0f);
   const float* zero = zero_row.data();
 
-  parallel_for(0, m.n_in(), [&](std::int64_t begin, std::int64_t end) {
+  parallel_for(0, m.n_in(), m.msgs_work_per_query(), [&](std::int64_t begin, std::int64_t end) {
     const float* vdata = values.data().data();
     const float* pdata = probs.data().data();
     for (std::int64_t q = begin; q < end; ++q) {
@@ -130,7 +130,7 @@ void run_quantized_planned(const ModelConfig& m, const Tensor& values,
   const std::vector<std::int16_t> zero_row(static_cast<std::size_t>(dh), 0);
   const std::int16_t* zero = zero_row.data();
 
-  parallel_for(0, m.n_in(), [&](std::int64_t begin, std::int64_t end) {
+  parallel_for(0, m.n_in(), m.msgs_work_per_query(), [&](std::int64_t begin, std::int64_t end) {
     std::vector<std::int32_t> acc(static_cast<std::size_t>(dh));
     const std::int16_t* codes = qvalues.codes().data();
     const float* pdata = probs.data().data();

@@ -37,14 +37,15 @@ SamplingPlan SamplingPlan::build(const ModelConfig& m, const Tensor& locs) {
   plan.n_levels_ = m.n_levels;
   plan.n_points_ = m.n_points;
   plan.d_model_ = m.d_model;
-  const std::int64_t slots =
-      plan.n_in_ * m.n_heads * m.n_levels * m.n_points;
+  const std::int64_t slots = plan.n_in_ * m.points_per_query();
   plan.offsets_.assign(static_cast<std::size_t>(slots) * 4, kOutOfBounds);
   plan.t0_.resize(static_cast<std::size_t>(slots));
   plan.t1_.resize(static_cast<std::size_t>(slots));
 
   const int dh = m.d_head();
-  parallel_for(0, m.n_in(), [&](std::int64_t begin, std::int64_t end) {
+  // Per point: locate it and resolve its four corner offsets, ~16 ns.
+  const std::int64_t query_work = m.points_per_query() * 16;
+  parallel_for(0, m.n_in(), query_work, [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t q = begin; q < end; ++q) {
       for (int h = 0; h < m.n_heads; ++h) {
         const std::int64_t col = static_cast<std::int64_t>(h) * dh;
@@ -86,7 +87,8 @@ LocalityPlan LocalityPlan::build(const ModelConfig& m, const SamplingPlan& plan,
     // First-touch tile key: the first in-bounds resolved offset in
     // slot-scan order (h asc, p asc, corner asc), divided by tile_elems.
     // Offsets fit int32 (SamplingPlan::build checks), so keys do too.
-    parallel_for(0, lp.n_in_, [&](std::int64_t begin, std::int64_t end) {
+    // The scan almost always stops within the first slot's four corners.
+    parallel_for(0, lp.n_in_, 4, [&](std::int64_t begin, std::int64_t end) {
       for (std::int64_t q = begin; q < end; ++q) {
         std::int32_t key = kNoTile;
         for (int h = 0; h < m.n_heads && key == kNoTile; ++h) {

@@ -163,7 +163,7 @@ class QuillBackend final : public Backend {
       // backend performs, in plain query order.
       float* o = out.data().data();
       const float scale = qa.out_scale;
-      parallel_for(0, m.n_in(), [&](std::int64_t begin, std::int64_t end) {
+      parallel_for(0, m.n_in(), m.d_model, [&](std::int64_t begin, std::int64_t end) {
         for (std::int64_t q = begin; q < end; ++q) {
           const std::size_t row = static_cast<std::size_t>(q * m.d_model);
           for (int c = 0; c < m.d_model; ++c) {

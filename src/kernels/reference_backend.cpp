@@ -25,7 +25,7 @@ namespace {
 void run_fp32(const ModelConfig& m, const Tensor& values, const Tensor& probs,
               const Tensor& locs, const prune::PointMask* pmask, Tensor& out) {
   const int dh = m.d_head();
-  parallel_for(0, m.n_in(), [&](std::int64_t begin, std::int64_t end) {
+  parallel_for(0, m.n_in(), m.msgs_work_per_query(), [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t q = begin; q < end; ++q) {
       std::span<float> orow = out.row(q);
       for (int h = 0; h < m.n_heads; ++h) {
@@ -53,7 +53,7 @@ void run_quantized(const ModelConfig& m, const Tensor& values, const Tensor& pro
   const float out_scale = qvalues.spec().scale;
   const std::int64_t d = m.d_model;
 
-  parallel_for(0, m.n_in(), [&](std::int64_t begin, std::int64_t end) {
+  parallel_for(0, m.n_in(), m.msgs_work_per_query(), [&](std::int64_t begin, std::int64_t end) {
     std::vector<std::int32_t> acc(static_cast<std::size_t>(dh));
     for (std::int64_t q = begin; q < end; ++q) {
       std::span<float> orow = out.row(q);

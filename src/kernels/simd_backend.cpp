@@ -62,7 +62,7 @@ void run_fp32_scalar(const Fp32Args& a) {
   const std::vector<float> zero_row(static_cast<std::size_t>(dh), 0.0f);
   const float* zero = zero_row.data();
 
-  parallel_for(0, m.n_in(), [&](std::int64_t begin, std::int64_t end) {
+  parallel_for(0, m.n_in(), m.msgs_work_per_query(), [&](std::int64_t begin, std::int64_t end) {
     std::vector<float> acc(static_cast<std::size_t>(dh));
     for (std::int64_t q = begin; q < end; ++q) {
       for (int h = 0; h < m.n_heads; ++h) {
@@ -103,7 +103,7 @@ void run_quant_scalar(const QuantArgs& a) {
   const std::vector<std::int16_t> zero_row(static_cast<std::size_t>(dh), 0);
   const std::int16_t* zero = zero_row.data();
 
-  parallel_for(0, m.n_in(), [&](std::int64_t begin, std::int64_t end) {
+  parallel_for(0, m.n_in(), m.msgs_work_per_query(), [&](std::int64_t begin, std::int64_t end) {
     std::vector<std::int32_t> acc(static_cast<std::size_t>(dh));
     for (std::int64_t q = begin; q < end; ++q) {
       for (int h = 0; h < m.n_heads; ++h) {
@@ -158,7 +158,7 @@ void run_fp32_level_scalar(const Fp32Args& a, int level, const std::int32_t* ord
   const std::vector<float> zero_row(static_cast<std::size_t>(dh), 0.0f);
   const float* zero = zero_row.data();
 
-  parallel_for(0, m.n_in(), [&](std::int64_t begin, std::int64_t end) {
+  parallel_for(0, m.n_in(), m.msgs_work_per_query(), [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t i = begin; i < end; ++i) {
       const std::int64_t q = order[i];
       for (int h = 0; h < m.n_heads; ++h) {
@@ -195,7 +195,7 @@ void run_quant_level_scalar(const QuantArgs& a, int level, const std::int32_t* o
   const std::vector<std::int16_t> zero_row(static_cast<std::size_t>(dh), 0);
   const std::int16_t* zero = zero_row.data();
 
-  parallel_for(0, m.n_in(), [&](std::int64_t begin, std::int64_t end) {
+  parallel_for(0, m.n_in(), m.msgs_work_per_query(), [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t i = begin; i < end; ++i) {
       const std::int64_t q = order[i];
       for (int h = 0; h < m.n_heads; ++h) {

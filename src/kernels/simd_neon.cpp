@@ -69,7 +69,7 @@ void run_fp32_neon(const Fp32Args& a) {
   const std::vector<float> zero_row(static_cast<std::size_t>(dh), 0.0f);
   const float* zero = zero_row.data();
 
-  parallel_for(0, m.n_in(), [&](std::int64_t begin, std::int64_t end) {
+  parallel_for(0, m.n_in(), m.msgs_work_per_query(), [&](std::int64_t begin, std::int64_t end) {
     std::vector<float> acc(static_cast<std::size_t>(dh));
     for (std::int64_t q = begin; q < end; ++q) {
       for (int h = 0; h < m.n_heads; ++h) {
@@ -130,7 +130,7 @@ void run_quant_neon(const QuantArgs& a) {
   const int32x4_t half = vdupq_n_s32(1 << (a.frac_bits - 1));
   const int32x4_t neg_shift = vdupq_n_s32(-a.frac_bits);
 
-  parallel_for(0, m.n_in(), [&](std::int64_t begin, std::int64_t end) {
+  parallel_for(0, m.n_in(), m.msgs_work_per_query(), [&](std::int64_t begin, std::int64_t end) {
     std::vector<std::int32_t> acc(static_cast<std::size_t>(dh));
     for (std::int64_t q = begin; q < end; ++q) {
       for (int h = 0; h < m.n_heads; ++h) {
@@ -200,7 +200,7 @@ void run_fp32_level_neon(const Fp32Args& a, int level, const std::int32_t* order
   const std::vector<float> zero_row(static_cast<std::size_t>(dh), 0.0f);
   const float* zero = zero_row.data();
 
-  parallel_for(0, m.n_in(), [&](std::int64_t begin, std::int64_t end) {
+  parallel_for(0, m.n_in(), m.msgs_work_per_query(), [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t i = begin; i < end; ++i) {
       const std::int64_t q = order[i];
       for (int h = 0; h < m.n_heads; ++h) {
@@ -257,7 +257,7 @@ void run_quant_level_neon(const QuantArgs& a, int level, const std::int32_t* ord
   const int32x4_t half = vdupq_n_s32(1 << (a.frac_bits - 1));
   const int32x4_t neg_shift = vdupq_n_s32(-a.frac_bits);
 
-  parallel_for(0, m.n_in(), [&](std::int64_t begin, std::int64_t end) {
+  parallel_for(0, m.n_in(), m.msgs_work_per_query(), [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t i = begin; i < end; ++i) {
       const std::int64_t q = order[i];
       for (int h = 0; h < m.n_heads; ++h) {

@@ -2,7 +2,7 @@
 // aggregation kernel.
 //
 // `fused` and `simd` parallelize across *queries*, which works until one
-// large request arrives alone — parallel_for's min_parallel threshold and
+// large request arrives alone — parallel_for's work-sized floor and
 // batch-level concurrency leave the machine idle.  This backend splits a
 // single run_msgs call into (level x query-tile) work items executed on
 // the shared defa::ThreadPool, the multi-scale-parallel decomposition of

@@ -15,7 +15,7 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   std::span<const float> pb = b.data();
   std::span<float> pc = c.data();
 
-  parallel_for(0, m, [&](std::int64_t row_begin, std::int64_t row_end) {
+  parallel_for(0, m, k * n, [&](std::int64_t row_begin, std::int64_t row_end) {
     for (std::int64_t i = row_begin; i < row_end; ++i) {
       float* crow = &pc[static_cast<std::size_t>(i * n)];
       const float* arow = &pa[static_cast<std::size_t>(i * k)];
@@ -26,7 +26,7 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
         for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
       }
     }
-  }, /*min_parallel=*/8);
+  });
   return c;
 }
 

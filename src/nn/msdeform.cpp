@@ -12,7 +12,7 @@ namespace defa::nn {
 
 MsdaWeights MsdaWeights::random(const ModelConfig& m, Rng& rng) {
   const std::int64_t d = m.d_model;
-  const std::int64_t hlp = static_cast<std::int64_t>(m.n_heads) * m.points_per_head();
+  const std::int64_t hlp = m.points_per_query();
   MsdaWeights w;
   const float init_std = 1.0f / std::sqrt(static_cast<float>(d));
   w.w_attn = Tensor::randn({d, hlp}, rng, 0.0f, init_std);
@@ -64,7 +64,7 @@ Tensor locs_from_offsets(const ModelConfig& m, const Tensor& ref_norm,
                  offsets_px.dim(3) == m.n_points && offsets_px.dim(4) == 2,
              "offsets shape must be (N,H,L,P,2)");
   Tensor locs = offsets_px;
-  parallel_for(0, n, [&](std::int64_t begin, std::int64_t end) {
+  parallel_for(0, n, m.points_per_query(), [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t q = begin; q < end; ++q) {
       const float rx = ref_norm(q, 0);
       const float ry = ref_norm(q, 1);
@@ -113,7 +113,7 @@ Tensor msgs_aggregate_ref(const ModelConfig& m, const Tensor& values,
   DEFA_CHECK(locs.rank() == 5 && locs.dim(0) == n, "locs shape");
 
   Tensor out({n, m.d_model});
-  parallel_for(0, n, [&](std::int64_t begin, std::int64_t end) {
+  parallel_for(0, n, m.msgs_work_per_query(), [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t q = begin; q < end; ++q) {
       std::span<float> orow = out.row(q);
       for (int h = 0; h < m.n_heads; ++h) {

@@ -11,7 +11,7 @@ void rms_norm_rows(Tensor& x, float eps) {
   DEFA_CHECK(x.rank() == 2, "rms_norm_rows expects rank-2");
   const std::int64_t n = x.dim(0), d = x.dim(1);
   DEFA_CHECK(d > 0, "empty rows");
-  parallel_for(0, n, [&](std::int64_t begin, std::int64_t end) {
+  parallel_for(0, n, d, [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t i = begin; i < end; ++i) {
       std::span<float> row = x.row(i);
       double ss = 0.0;

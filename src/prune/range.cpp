@@ -8,14 +8,6 @@
 
 namespace defa::prune {
 
-namespace {
-
-/// Sampling points (two location floats each) below which clamping stays
-/// on the calling thread.
-constexpr std::int64_t kParallelPoints = 16 * 1024;
-
-}  // namespace
-
 ClampStats clamp_to_range(const ModelConfig& m, const Tensor& ref_norm,
                           const RangeSpec& ranges, Tensor& locs) {
   DEFA_CHECK(ranges.used_levels == m.n_levels, "range spec mismatch");
@@ -23,7 +15,7 @@ ClampStats clamp_to_range(const ModelConfig& m, const Tensor& ref_norm,
 
   const std::int64_t n = m.n_in();
   ClampStats stats;
-  stats.total_points = n * m.n_heads * m.n_levels * m.n_points;
+  stats.total_points = n * m.points_per_query();
   stats.level_fraction.assign(static_cast<std::size_t>(m.n_levels), 0.0);
 
   std::vector<std::int64_t> level_clamped(static_cast<std::size_t>(m.n_levels), 0);
@@ -32,9 +24,9 @@ ClampStats clamp_to_range(const ModelConfig& m, const Tensor& ref_norm,
   std::mutex mu;
 
   // Queries are independent; each chunk's integer counts and max merge
-  // exactly, so the stats do not depend on the chunking.
-  const std::int64_t per_query = static_cast<std::int64_t>(m.n_heads) * m.n_levels * m.n_points;
-  parallel_for(0, n, [&](std::int64_t q0, std::int64_t q1) {
+  // exactly, so the stats do not depend on the chunking.  Per point: two
+  // clamps and the excess test, ~4 ns.
+  parallel_for(0, n, m.points_per_query() * 4, [&](std::int64_t q0, std::int64_t q1) {
     std::vector<std::int64_t> chunk_level(static_cast<std::size_t>(m.n_levels), 0);
     double chunk_excess = 0.0;
     for (std::int64_t q = q0; q < q1; ++q) {
@@ -69,7 +61,7 @@ ClampStats clamp_to_range(const ModelConfig& m, const Tensor& ref_norm,
       clamped += chunk_level[static_cast<std::size_t>(l)];
     }
     max_excess = std::max(max_excess, chunk_excess);
-  }, std::max<std::int64_t>(1, kParallelPoints / per_query));
+  });
 
   stats.clamped_points = clamped;
   stats.max_excess_px = max_excess;

@@ -9,11 +9,10 @@ namespace defa::quant {
 
 namespace {
 
-/// Run `fn(begin, end)` over disjoint element ranges of [0, n), inline
-/// below kParallelGrain.
+/// Run `fn(begin, end)` over disjoint element ranges of [0, n).
 void for_elements(std::size_t n,
                   const std::function<void(std::int64_t, std::int64_t)>& fn) {
-  parallel_for(0, static_cast<std::int64_t>(n), fn, kParallelGrain);
+  parallel_for(0, static_cast<std::int64_t>(n), kQuantizeWork, fn);
 }
 
 /// max(0, |data[lo]|, ..., |data[hi-1]|), skipping NaN like a std::max

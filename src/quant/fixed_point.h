@@ -8,9 +8,11 @@
 ///
 /// Every whole-tensor operation here (fit, QTensor construction and
 /// dequantization, fake_quantize) runs as one `parallel_for` over elements
-/// with a `kParallelGrain` floor, so small tensors stay inline.  Results are
-/// bit-identical at any thread count: elements are independent, and the one
-/// reduction (the max-abs in `fit`) is a max, which is order-free.
+/// at kQuantizeWork per element, so under parallel_for's work-sized rule
+/// tensors below kMinParallelWork / kQuantizeWork elements stay inline.
+/// Results are bit-identical at any thread count: elements are
+/// independent, and the one reduction (the max-abs in `fit`) is a max,
+/// which is order-free.
 
 #include <algorithm>
 #include <cmath>
@@ -21,9 +23,9 @@
 
 namespace defa::quant {
 
-/// Tensors with fewer elements than this are quantized on the calling
-/// thread; larger ones are split across the worker pool.
-inline constexpr std::int64_t kParallelGrain = 32 * 1024;
+/// parallel_for work estimate of quantizing (or dequantizing) one element:
+/// a divide, a clamp and a rounding, ~2-3 ns.
+inline constexpr std::int64_t kQuantizeWork = 2;
 
 /// Quantization parameters: value = code * scale, codes in
 /// [-(2^(bits-1)-1), 2^(bits-1)-1] (symmetric, no negative-extreme code).

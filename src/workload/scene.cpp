@@ -20,6 +20,10 @@ inline float dist2(float ax, float ay, float bx, float by) noexcept {
   return dx * dx + dy * dy;
 }
 
+/// parallel_for work of one exp, tanh or normal draw, in kMinParallelWork's
+/// units; the scene loops are dominated by these calls.
+constexpr std::int64_t kTranscendentalWork = 32;
+
 }  // namespace
 
 SceneWorkload::SceneWorkload(ModelConfig model, SceneParams params)
@@ -60,7 +64,12 @@ SceneWorkload::SceneWorkload(ModelConfig model, SceneParams params)
 
   fmap_ = Tensor({model_.n_in(), d});
   const std::uint64_t noise_seed = mix_seed(params_.seed, 0xFEA7u);
-  parallel_for(0, model_.n_in(), [&](std::int64_t begin, std::int64_t end) {
+  // Per token: one noise draw per channel, one exp and one d-wide
+  // multiply-add per object.
+  const auto n_obj = static_cast<std::int64_t>(objects_.size());
+  const std::int64_t token_work =
+      d * kTranscendentalWork + n_obj * (kTranscendentalWork + d);
+  parallel_for(0, model_.n_in(), token_work, [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t q = begin; q < end; ++q) {
       SmallRng noise(mix_seed(noise_seed, static_cast<std::uint64_t>(q)));
       const float xn = ref_(q, 0);
@@ -112,7 +121,24 @@ nn::MsdaFields SceneWorkload::layer_fields(int layer) const {
 
   const std::uint64_t point_seed = mix_seed(params_.seed, 0x5EED, static_cast<std::uint64_t>(layer));
 
-  parallel_for(0, n, [&](std::int64_t begin, std::int64_t end) {
+  // The ring component's angle depends only on (head, point) and the layer
+  // rotation, so its cos/sin are computed once per call, not per query.
+  std::vector<double> ring_cos(static_cast<std::size_t>(nh) * np);
+  std::vector<double> ring_sin(ring_cos.size());
+  for (int h = 0; h < nh; ++h) {
+    for (int p = 0; p < np; ++p) {
+      const double angle =
+          2.0 * std::numbers::pi * (h + static_cast<double>(p) / np) / nh + layer_rot;
+      ring_cos[static_cast<std::size_t>(h * np + p)] = std::cos(angle);
+      ring_sin[static_cast<std::size_t>(h * np + p)] = std::sin(angle);
+    }
+  }
+
+  // Per sampling point: the saliency's exp per object plus a few RNG draws.
+  const std::int64_t query_work = model_.points_per_query() *
+                                  (static_cast<std::int64_t>(objects_.size()) + 2) *
+                                  kTranscendentalWork;
+  parallel_for(0, n, query_work, [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t q = begin; q < end; ++q) {
       SmallRng qrng(mix_seed(point_seed, static_cast<std::uint64_t>(q)));
       const float rx = ref_(q, 0);
@@ -155,12 +181,9 @@ nn::MsdaFields SceneWorkload::layer_fields(int layer) const {
           const double sigma = params_.offset_sigma_px[static_cast<std::size_t>(l)];
           for (int p = 0; p < np; ++p) {
             // (1) stable ring component (initialization-like structure)
-            const double angle = 2.0 * std::numbers::pi *
-                                     (h + static_cast<double>(p) / np) / nh +
-                                 layer_rot;
             const double ring_r = params_.ring_scale_px * (p + 1) / np;
-            double ox = ring_r * std::cos(angle);
-            double oy = ring_r * std::sin(angle);
+            double ox = ring_r * ring_cos[static_cast<std::size_t>(h * np + p)];
+            double oy = ring_r * ring_sin[static_cast<std::size_t>(h * np + p)];
             // (2) object-seeking component (content-dependent structure),
             // soft-capped: trained offsets stay within a bounded
             // receptive field, which is what makes range narrowing cheap.

@@ -14,8 +14,9 @@
 ///    backend can get wrong: every power-of-two d_head a register tile
 ///    might specialize on plus awkward widths (1, 3, 24), level counts
 ///    1..4, degenerate shapes (single-pixel level, one head, one point),
-///    and the >=512-channel heads that exceed any register-tile
-///    specialization.
+///    the >=512-channel heads that exceed any register-tile
+///    specialization, and one shape large enough that parallel_for splits
+///    its per-query loops into chunks.
 ///  * `make_inputs()` — seeded adversarial inputs: sampling locations
 ///    sweep in-bounds, out-of-bounds and *exact-integer* coordinates
 ///    (t = 0 edge cases), probabilities are a real softmax.
@@ -110,6 +111,17 @@ inline ModelConfig make_model(std::string name, int d_model, int n_heads,
   return m;
 }
 
+/// The smallest matrix shape whose per-query loops parallel_for fans out:
+/// a 4-level pyramid from a 12 x 16 base at the paper's head/level/point
+/// counts (256 queries of 4096 MSGS work each), two blocks so the pipeline
+/// carries an FWP mask across a layer boundary.
+inline ModelConfig above_floor_model() {
+  ModelConfig m = make_model("above_floor", 256, 8, 4, {{12, 16}, {6, 8}, {3, 4}, {2, 2}});
+  m.n_layers = 2;
+  m.validate();
+  return m;
+}
+
 /// The kernel-level model matrix (see file comment for the axes).
 inline std::vector<DiffModel> differential_models() {
   std::vector<DiffModel> out;
@@ -132,6 +144,8 @@ inline std::vector<DiffModel> differential_models() {
   out.push_back({"pixel_level", make_model("pixel_level", 16, 2, 2, {{5, 5}, {1, 1}})});
   out.push_back({"one_head", make_model("one_head", 24, 1, 2, {{5, 4}, {2, 3}})});
   out.push_back({"one_point", make_model("one_point", 16, 4, 1, {{6, 5}, {3, 3}})});
+  // Multi-chunk per-query path of every backend.
+  out.push_back({"above_floor", above_floor_model()});
   return out;
 }
 

@@ -17,6 +17,7 @@
 #include "api/engine.h"
 #include "api/request.h"
 #include "backend_differential.h"
+#include "common/parallel.h"
 #include "common/simd.h"
 #include "core/pipeline.h"
 #include "kernels/backend.h"
@@ -31,6 +32,18 @@ using difftest::DiffModel;
 using difftest::ScopedEnv;
 
 // ------------------------------------------------------ kernel-level matrix
+
+TEST(KernelDifferential, MatrixCrossesTheParallelFloor) {
+  // Without a model above the floor every backend's per-query loop would
+  // run as one inline chunk, and its multi-chunk path would go untested.
+  const ModelConfig m = difftest::above_floor_model();
+  EXPECT_GT(parallel_chunks(m.n_in(), m.msgs_work_per_query(), 4).count, 1);
+  bool in_matrix = false;
+  for (const DiffModel& dm : difftest::differential_models()) {
+    in_matrix = in_matrix || dm.label == "above_floor";
+  }
+  EXPECT_TRUE(in_matrix);
+}
 
 TEST(KernelDifferential, Fused) { difftest::run_kernel_differential("fused"); }
 
@@ -166,8 +179,7 @@ void expect_results_equal(const core::EncoderResult& ref,
   }
 }
 
-TEST(PipelineDifferential, AllConfigsAllBackends) {
-  const ModelConfig m = ModelConfig::tiny();
+void run_pipeline_differential(const ModelConfig& m) {
   workload::SceneParams sp;
   sp.seed = m.seed;
   const workload::SceneWorkload wl(m, sp);
@@ -185,9 +197,20 @@ TEST(PipelineDifferential, AllConfigsAllBackends) {
       const kernels::Backend& bk = kernels::backend(name);
       if (!bk.unavailable_reason().empty()) continue;
       expect_results_equal(expect, pipeline.run(cfg, &bk),
-                           "[pipeline config=" + cfg.label + " backend=" + name + "]");
+                           "[pipeline model=" + m.name + " config=" + cfg.label +
+                               " backend=" + name + "]");
     }
   }
+}
+
+TEST(PipelineDifferential, AllConfigsAllBackends) {
+  run_pipeline_differential(ModelConfig::tiny());
+}
+
+TEST(PipelineDifferential, AboveParallelFloorAllConfigsAllBackends) {
+  const ModelConfig m = difftest::above_floor_model();
+  ASSERT_GT(parallel_chunks(m.n_in(), m.msgs_work_per_query(), 4).count, 1);
+  run_pipeline_differential(m);
 }
 
 // ----------------------------------------------------- engine-level matrix

@@ -1,10 +1,12 @@
-// Unit tests for src/common: checks, RNG, statistics, tables, parallel_for.
+// Unit tests for src/common: checks, RNG, statistics, tables, parallel_for
+// and its work-sized chunking rule.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "common/check.h"
@@ -12,6 +14,8 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
+#include "config/model_config.h"
+#include "quant/fixed_point.h"
 
 namespace defa {
 namespace {
@@ -212,28 +216,135 @@ TEST(Format, PercentAndRatio) {
 // ---------------------------------------------------------------- parallel_for
 TEST(ParallelFor, CoversRangeExactlyOnce) {
   std::vector<std::atomic<int>> hits(10000);
-  parallel_for(0, 10000, [&](std::int64_t b, std::int64_t e) {
+  parallel_for(0, 10000, kMinParallelWork, [&](std::int64_t b, std::int64_t e) {
     for (std::int64_t i = b; i < e; ++i) hits[static_cast<std::size_t>(i)]++;
-  }, 1);
+  });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ParallelFor, EmptyRangeIsNoop) {
   bool called = false;
-  parallel_for(5, 5, [&](std::int64_t, std::int64_t) { called = true; });
+  parallel_for(5, 5, kMinParallelWork, [&](std::int64_t, std::int64_t) { called = true; });
   EXPECT_FALSE(called);
 }
 
 TEST(ParallelFor, InvertedRangeThrows) {
-  EXPECT_THROW(parallel_for(2, 1, [](std::int64_t, std::int64_t) {}), CheckError);
+  EXPECT_THROW(parallel_for(2, 1, 1, [](std::int64_t, std::int64_t) {}), CheckError);
 }
 
 TEST(ParallelFor, SmallRangeRunsInline) {
-  std::vector<int> hits(10, 0);
-  parallel_for(0, 10, [&](std::int64_t b, std::int64_t e) {
-    for (std::int64_t i = b; i < e; ++i) hits[static_cast<std::size_t>(i)]++;
-  });  // default min_parallel keeps this single-chunk
-  for (int h : hits) EXPECT_EQ(h, 1);
+  // 10 items of 100 work units each are far below the floor: one call on
+  // the calling thread covering the whole range.
+  ASSERT_EQ(parallel_chunks(10, 100).count, 1);
+  const std::thread::id caller = std::this_thread::get_id();
+  int calls = 0;
+  parallel_for(3, 13, 100, [&](std::int64_t b, std::int64_t e) {
+    ++calls;
+    EXPECT_EQ(b, 3);
+    EXPECT_EQ(e, 13);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+  });
+  EXPECT_EQ(calls, 1);
+}
+
+TEST(ParallelChunks, FloorCountsWorkNotItems) {
+  // The same 64 items run inline or fan out depending on their cost.
+  EXPECT_EQ(parallel_chunks(64, kMinParallelWork / 64 - 1, 4).count, 1);
+  EXPECT_GT(parallel_chunks(64, kMinParallelWork / 64, 4).count, 1);
+  // One item that alone reaches the floor still has nothing to split.
+  EXPECT_EQ(parallel_chunks(1, kMinParallelWork, 4).count, 1);
+  EXPECT_EQ(parallel_chunks(0, kMinParallelWork, 4).count, 0);
+  // A single executor never fans out; work below 1 counts as 1.
+  EXPECT_EQ(parallel_chunks(1 << 20, kMinParallelWork, 1).count, 1);
+  EXPECT_EQ(parallel_chunks(kMinParallelWork, 0, 4).count, 16);
+}
+
+TEST(ParallelChunks, BoundariesDependOnlyOnItemsAndConcurrency) {
+  for (const std::int64_t n : {2, 17, 100, 426, 4484, 100003}) {
+    for (const int concurrency : {2, 4, 8}) {
+      const ChunkPlan a = parallel_chunks(n, kMinParallelWork, concurrency);
+      const ChunkPlan b = parallel_chunks(n, 7 * kMinParallelWork, concurrency);
+      EXPECT_EQ(a.size, b.size);
+      EXPECT_EQ(a.count, b.count);
+      // At most four chunks per executor, and together they cover [0, n).
+      EXPECT_LE(a.count, 4 * concurrency);
+      EXPECT_GE(a.size * a.count, n);
+      EXPECT_LT(a.size * (a.count - 1), n);
+    }
+  }
+}
+
+// The per-query parallel_for sites of one encoder request, each with the
+// work estimate its source passes.
+struct Site {
+  const char* name;
+  std::int64_t items;
+  std::int64_t work_per_item;
+};
+
+std::vector<Site> request_sites(const ModelConfig& m, int concurrency) {
+  const std::int64_t n = m.n_in();
+  const std::int64_t d = m.d_model;
+  const std::int64_t shard = (n + concurrency - 1) / concurrency;
+  return {
+      {"run_msgs (every backend), msgs_aggregate_ref", n, m.msgs_work_per_query()},
+      {"SamplingPlan::build", n, m.points_per_query() * 16},
+      {"clamp_to_range", n, m.points_per_query() * 4},
+      {"quantize_offsets", n, m.points_per_query() * 2 * quant::kQuantizeWork},
+      {"matmul (value projection)", n, d * d},
+      {"rms_norm_rows", n, d},
+      {"softmax_lastdim (logits)", n * m.n_heads, m.points_per_head() * 8},
+      {"quill INTn scatter", n, d},
+      {"fake_quantize (values)", n * d, quant::kQuantizeWork},
+      {"MsgsEngine::run (one shard per executor)", concurrency,
+       shard * m.points_per_query() * 48},
+  };
+}
+
+/// frame16x20: a 16 x 20 base halved three times, 426 queries.
+ModelConfig frame16x20() {
+  ModelConfig m;
+  m.name = "frame16x20";
+  m.n_layers = 2;
+  m.levels = {{16, 20}, {8, 10}, {4, 5}, {2, 3}};
+  m.seed = 7;
+  m.validate();
+  return m;
+}
+
+TEST(ParallelChunks, TinyPresetRequestSitesStayInline) {
+  const ModelConfig m = ModelConfig::tiny();
+  for (const Site& s : request_sites(m, 4)) {
+    EXPECT_EQ(parallel_chunks(s.items, s.work_per_item, 4).count, 1) << s.name;
+  }
+  // Per-query loops too cheap to fan out at any preset size.
+  EXPECT_EQ(parallel_chunks(m.n_in(), m.points_per_query(), 4).count, 1)
+      << "locs_from_offsets";
+  EXPECT_EQ(parallel_chunks(m.n_in(), 4, 4).count, 1) << "LocalityPlan keys";
+}
+
+TEST(ParallelChunks, Frame16x20RequestSitesFanOut) {
+  const ModelConfig m = frame16x20();
+  ASSERT_EQ(m.n_in(), 426);
+  for (const Site& s : request_sites(m, 4)) {
+    EXPECT_GT(parallel_chunks(s.items, s.work_per_item, 4).count, 1) << s.name;
+  }
+}
+
+TEST(ParallelChunks, SceneGenerationFansOutEvenOnTinyScenes) {
+  // SceneWorkload's per-token fmap and per-query layer_fields loops are
+  // dominated by exp/tanh/normal calls (32 units each).  Even a tiny scene
+  // is ~0.1 ms (fmap) and ~0.45 ms (one layer's fields) of serial work, so
+  // both fan out; they run once per scene, off the per-request path.
+  constexpr std::int64_t kTranscendental = 32;
+  constexpr std::int64_t kObjects = 14;  // SceneParams default
+  for (const ModelConfig& m : {ModelConfig::tiny(), frame16x20()}) {
+    const std::int64_t fmap_work =
+        m.d_model * kTranscendental + kObjects * (kTranscendental + m.d_model);
+    const std::int64_t fields_work = m.points_per_query() * (kObjects + 2) * kTranscendental;
+    EXPECT_GT(parallel_chunks(m.n_in(), fmap_work, 4).count, 1) << m.name;
+    EXPECT_GT(parallel_chunks(m.n_in(), fields_work, 4).count, 1) << m.name;
+  }
 }
 
 TEST(ParallelFor, HardwareThreadsPositive) {

@@ -3,8 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <thread>
+#include <vector>
 
 #include "core/pipeline.h"
 
@@ -240,6 +245,87 @@ TEST(PipelineGolden, QuantOnlyInt8) {
   expect_golden(m, 5, PruneConfig::only_quant(8), 0x3fb5356985fdedd3ULL,
                 {{54528, 426, 0, 0x3fb8455f380cd099ULL},
                  {54528, 426, 0, 0x3fb895eee53be332ULL}});
+}
+
+// ---------------------------------------------------- value-weight cache
+
+ModelConfig weight_model(std::uint64_t seed, int d_model) {
+  ModelConfig m = ModelConfig::tiny();
+  m.seed = seed;
+  m.d_model = d_model;
+  return m;
+}
+
+/// The weights drawn directly, bypassing the cache.
+Tensor fresh_weights(std::uint64_t seed, int d_model, int layer) {
+  Rng rng(mix_seed(seed, 0xBEEF, static_cast<std::uint64_t>(layer)));
+  const float std = 1.0f / std::sqrt(static_cast<float>(d_model));
+  return Tensor::randn({d_model, d_model}, rng, 0.0f, std);
+}
+
+bool bytes_equal(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+TEST(ValueWeightCache, MatchesFreshDrawsAndSharesOneTensor) {
+  struct Key {
+    std::uint64_t seed;
+    int d_model;
+    int layer;
+  };
+  for (const Key k : {Key{7, 256, 0}, Key{7, 256, 1}, Key{11, 64, 2}, Key{7, 16, 0},
+                      Key{0xC0FFEE, 32, 5}}) {
+    SCOPED_TRACE("seed " + std::to_string(k.seed) + " d_model " + std::to_string(k.d_model) +
+                 " layer " + std::to_string(k.layer));
+    const ModelConfig m = weight_model(k.seed, k.d_model);
+    const std::shared_ptr<const Tensor> first = layer_value_weights(m, k.layer);
+    EXPECT_TRUE(bytes_equal(*first, fresh_weights(k.seed, k.d_model, k.layer)));
+    EXPECT_EQ(layer_value_weights(m, k.layer).get(), first.get());
+  }
+}
+
+TEST(ValueWeightCache, StaysAtCapacityAndKeepsTheRecentlyUsed) {
+  const ModelConfig kept = weight_model(0xAB0000, 16);
+  const std::shared_ptr<const Tensor> kept_w = layer_value_weights(kept, 0);
+  for (std::uint64_t s = 1; s <= kValueWeightCacheCapacity + 5; ++s) {
+    (void)layer_value_weights(kept, 0);  // touch: most recently used again
+    (void)layer_value_weights(weight_model(0xAB0000 + s, 16), 0);
+    EXPECT_LE(value_weight_cache_size(), kValueWeightCacheCapacity);
+  }
+  EXPECT_EQ(value_weight_cache_size(), kValueWeightCacheCapacity);
+  // Still cached: the same tensor comes back, not a rebuilt copy.
+  EXPECT_EQ(layer_value_weights(kept, 0).get(), kept_w.get());
+  // The oldest of the distinct seeds was evicted and is rebuilt on demand,
+  // equal to the fresh draw.
+  const ModelConfig evicted = weight_model(0xAB0001, 16);
+  EXPECT_TRUE(bytes_equal(*layer_value_weights(evicted, 0), fresh_weights(0xAB0001, 16, 0)));
+}
+
+TEST(ValueWeightCache, ConcurrentFirstUseAgrees) {
+  const ModelConfig m = weight_model(0x5EED5EED, 64);
+  constexpr int kThreads = 8;
+  std::vector<std::shared_ptr<const Tensor>> got(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Start together so the first uses overlap.
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      got[static_cast<std::size_t>(t)] = layer_value_weights(m, 3);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  const Tensor want = fresh_weights(0x5EED5EED, 64, 3);
+  for (const auto& w : got) {
+    ASSERT_NE(w, nullptr);
+    EXPECT_TRUE(bytes_equal(*w, want));
+  }
+  // Whichever build won the insert is the one every later caller shares.
+  const Tensor* cached = layer_value_weights(m, 3).get();
+  EXPECT_EQ(layer_value_weights(m, 3).get(), cached);
 }
 
 }  // namespace

@@ -119,7 +119,7 @@ TEST(Quantize, InlineRoundingMatchesLroundOnEveryReachableFloat) {
   const std::int64_t hi = std::bit_cast<std::uint32_t>(32768.0f);
   std::atomic<std::int64_t> mismatches{0};
   std::atomic<std::uint32_t> first_bad{0};
-  parallel_for(lo, hi + 1, [&](std::int64_t b0, std::int64_t b1) {
+  parallel_for(lo, hi + 1, 2 * kQuantizeWork, [&](std::int64_t b0, std::int64_t b1) {
     std::int64_t bad = 0;
     for (std::int64_t b = b0; b < b1; ++b) {
       const float x = std::bit_cast<float>(static_cast<std::uint32_t>(b));
@@ -177,8 +177,16 @@ TEST(QTensor, PreservesShapeAndSpec) {
 }
 
 // ----------------------------------------- parallel quantizer vs serial golden
-// The whole-tensor operations split work across threads above
-// kParallelGrain elements; they must match a plain serial loop bit for bit.
+// The whole-tensor operations split work across threads from kGrain
+// elements on; they must match a plain serial loop bit for bit.
+
+/// Fewest elements whose quantization parallel_for fans out.
+constexpr std::int64_t kGrain = kMinParallelWork / kQuantizeWork;
+
+TEST(QuantizerGrain, FansOutFromGrainElements) {
+  EXPECT_EQ(parallel_chunks(kGrain - 1, kQuantizeWork, 4).count, 1);
+  EXPECT_GT(parallel_chunks(kGrain, kQuantizeWork, 4).count, 1);
+}
 
 QuantSpec serial_fit(std::span<const float> data, int bits) {
   float max_abs = 0.0f;
@@ -267,8 +275,7 @@ TEST_P(ParallelQuantizer, AllZeroGetsUnitScale) {
 
 INSTANTIATE_TEST_SUITE_P(
     GrainEdges, ParallelQuantizer,
-    ::testing::Combine(::testing::Values(kParallelGrain - 1, kParallelGrain,
-                                         4 * kParallelGrain + 3),
+    ::testing::Combine(::testing::Values(kGrain - 1, kGrain, 4 * kGrain + 3),
                        ::testing::Values(8, 12, 16)));
 
 TEST(QuantizeFraction, GridBehaviour) {

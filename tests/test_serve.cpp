@@ -74,7 +74,7 @@ TEST(ThreadPool, NestedFanOutDoesNotOversubscribe) {
 TEST(ThreadPool, ParallelForMatchesSequential) {
   constexpr std::int64_t kN = 100000;
   std::vector<double> out(kN, 0.0);
-  parallel_for(0, kN, [&](std::int64_t lo, std::int64_t hi) {
+  parallel_for(0, kN, /*work_per_item=*/1, [&](std::int64_t lo, std::int64_t hi) {
     for (std::int64_t i = lo; i < hi; ++i) out[static_cast<std::size_t>(i)] = 3.0 * i;
   });
   for (std::int64_t i = 0; i < kN; i += 997) {
@@ -86,13 +86,10 @@ TEST(ThreadPool, ParallelForUsesOnlyPersistentThreads) {
   std::mutex mu;
   std::set<std::thread::id> seen;
   for (int round = 0; round < 20; ++round) {
-    parallel_for(
-        0, 1 << 16,
-        [&](std::int64_t, std::int64_t) {
-          const std::lock_guard<std::mutex> lock(mu);
-          seen.insert(std::this_thread::get_id());
-        },
-        1);
+    parallel_for(0, 1 << 16, kMinParallelWork, [&](std::int64_t, std::int64_t) {
+      const std::lock_guard<std::mutex> lock(mu);
+      seen.insert(std::this_thread::get_id());
+    });
   }
   // Repeated calls reuse the one global pool (+ this thread) instead of
   // spawning new threads per call.

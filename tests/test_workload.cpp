@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/stats.h"
 #include "nn/bilinear.h"
@@ -195,6 +197,47 @@ TEST(Scene, FmapValuesFinite) {
   const ModelConfig m = ModelConfig::tiny();
   SceneWorkload wl = make(m);
   for (float v : wl.fmap().data()) EXPECT_TRUE(std::isfinite(v));
+}
+
+// ------------------------------------------------------------------ goldens
+// FNV-1a over the bit patterns of layer_fields(0) (locations, then logits),
+// pinned so restructuring the generator (hoisting, chunking) is held to
+// its output bit for bit.
+
+std::uint64_t fields_checksum(const nn::MsdaFields& f) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const Tensor* t : {&f.locs, &f.logits}) {
+    for (const float v : t->data()) {
+      const std::uint32_t bits = std::bit_cast<std::uint32_t>(v);
+      for (int k = 0; k < 4; ++k) {
+        h ^= (bits >> (8 * k)) & 0xFFu;
+        h *= 1099511628211ULL;
+      }
+    }
+  }
+  return h;
+}
+
+TEST(SceneGolden, LayerFieldsTiny) {
+  SceneParams p;
+  p.seed = 7;
+  const SceneWorkload wl(ModelConfig::tiny(), p);
+  EXPECT_EQ(fields_checksum(wl.layer_fields(0)), 0x1708ed0f7d0fe107ULL);
+}
+
+TEST(SceneGolden, LayerFields16x20) {
+  // The frame16x20 request shape: 426 queries, enough that the
+  // per-query loop fans out.
+  ModelConfig m;
+  m.name = "golden16x20";
+  m.n_layers = 2;
+  m.levels = {{16, 20}, {8, 10}, {4, 5}, {2, 3}};
+  m.seed = 7;
+  m.validate();
+  SceneParams p;
+  p.seed = 3;
+  const SceneWorkload wl(m, p);
+  EXPECT_EQ(fields_checksum(wl.layer_fields(0)), 0x0282705b1b07a350ULL);
 }
 
 }  // namespace
