@@ -14,9 +14,9 @@
 
 #include "api/registry.h"
 #include "api/run_meta.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/table.h"
-#include "common/thread_pool.h"
 #include "core/experiments.h"
 #include "core/msgs.h"
 #include "kernels/backend.h"
@@ -871,7 +871,7 @@ Json run_tiled_scaling(std::ostream& os) {
   kernels::MsgsSpec spec;
   spec.plan = &plan;
 
-  const int executors = ThreadPool::global().size() + 1;
+  const int executors = parallel_concurrency();
   const char* saved = std::getenv("DEFA_TILED_THREADS");
   const std::string restore = saved != nullptr ? saved : "";
 

@@ -147,7 +147,7 @@ std::vector<EvalResult> Engine::run_batch(const std::vector<EvalRequest>& reques
     const std::lock_guard<std::mutex> lock(options_mu_);
     max_parallel = options_.max_parallel_requests;
   }
-  const int cap = max_parallel > 0 ? max_parallel : hardware_threads();
+  const int cap = max_parallel > 0 ? max_parallel : parallel_concurrency();
 
   if (cap <= 1 || n <= 1) {
     for (std::int64_t i = 0; i < n; ++i) {

@@ -28,8 +28,8 @@ namespace defa::api {
 class Engine {
  public:
   struct Options {
-    /// Upper bound on concurrent requests in run_batch; 0 = one per
-    /// hardware thread.
+    /// Upper bound on concurrent requests in run_batch; 0 =
+    /// parallel_concurrency() (the global pool's size).
     int max_parallel_requests = 0;
     /// Memoize full EvalResults by request identity (on by default; the
     /// context cache below is independent of this).

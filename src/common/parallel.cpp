@@ -3,17 +3,29 @@
 #include <algorithm>
 #include <thread>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include "common/check.h"
 #include "common/thread_pool.h"
 
 namespace defa {
 
 int hardware_threads() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return static_cast<int>(std::clamp(hw, 1u, 32u));
+  // The CPUs this thread may run on: under `taskset` or a cgroup cpuset
+  // that is fewer than the machine has, and a pool sized to the machine
+  // would oversubscribe them.
+  int cpus = 0;
+#if defined(__linux__)
+  cpu_set_t mask;
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) cpus = CPU_COUNT(&mask);
+#endif
+  if (cpus <= 0) cpus = static_cast<int>(std::thread::hardware_concurrency());
+  return std::clamp(cpus, 1, 32);
 }
 
-int parallel_concurrency() { return ThreadPool::global().size() + 1; }
+int parallel_concurrency() { return ThreadPool::global().size(); }
 
 ChunkPlan parallel_chunks(std::int64_t n, std::int64_t work_per_item, int concurrency) {
   DEFA_CHECK(n >= 0, "parallel_chunks: negative item count");

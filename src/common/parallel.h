@@ -14,18 +14,21 @@ namespace defa {
 /// one multiply-add, one element quantized) below which a loop runs on the
 /// calling thread.  Sized from the fork-join cost of the global pool on a
 /// 4-core x86-64 host with its workers asleep: fanning a loop out over 16
-/// chunks cost 15-20 us more than running it inline at the median, so
-/// with four executors fan-out can pay off only above ~27 us of serial
-/// work (that cost over the 3/4 of the work that leaves the caller).  The
-/// floor sits ~2.5x above that break-even, which absorbs per-site
-/// estimates that are off by that factor either way.
+/// chunks cost 15-20 us more than running it inline at the median.  A
+/// fork-join runs on hardware_threads() executors, the caller among them,
+/// so on that host 3/4 of the work leaves the caller and fan-out can pay
+/// off only above ~27 us of serial work.  The floor sits ~2.5x above that
+/// break-even, which absorbs per-site estimates that are off by that
+/// factor either way.
 inline constexpr std::int64_t kMinParallelWork = std::int64_t{1} << 16;
 
-/// Number of worker threads used by parallel_for (>= 1, capped).
+/// CPUs the calling thread may run on (its affinity mask where the
+/// platform has one, else std::thread::hardware_concurrency()), clamped to
+/// [1, 32].  The global pool is sized from it.
 [[nodiscard]] int hardware_threads();
 
-/// Executors a parallel_for runs on: the global pool's workers plus the
-/// calling thread.
+/// Executors a parallel_for runs on, the calling thread included: the
+/// global pool's size, whether or not the caller is one of its workers.
 [[nodiscard]] int parallel_concurrency();
 
 /// How parallel_for partitions a range: `count` chunks of `size` items

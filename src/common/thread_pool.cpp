@@ -15,7 +15,7 @@ thread_local int tl_worker_index = -1;
 }  // namespace
 
 ThreadPool::ThreadPool(int threads) {
-  if (threads <= 0) threads = std::max(1, hardware_threads() - 1);
+  if (threads <= 0) threads = hardware_threads();
   queues_.reserve(static_cast<std::size_t>(threads));
   for (int i = 0; i < threads; ++i) queues_.push_back(std::make_unique<WorkerQueue>());
   threads_.reserve(static_cast<std::size_t>(threads));
@@ -152,7 +152,7 @@ void ThreadPool::run_indexed(std::int64_t n, int max_concurrency,
     }
   };
 
-  const int pool_cap = max_concurrency <= 0 ? size() + 1 : max_concurrency;
+  const int pool_cap = max_concurrency <= 0 ? size() : max_concurrency;
   const auto helpers = static_cast<int>(std::min<std::int64_t>(
       n - 1, std::min<std::int64_t>(pool_cap - 1, size())));
   for (int i = 0; i < helpers; ++i) submit([s, drain] { drain(s); });

@@ -35,9 +35,10 @@ class ThreadPool {
  public:
   using Task = std::function<void()>;
 
-  /// `threads == 0` sizes the pool at hardware_threads() - 1 workers, so a
-  /// caller participating in `run_indexed` brings concurrency to exactly
-  /// the hardware thread count.
+  /// `threads == 0` sizes the pool at hardware_threads() workers.  A
+  /// fork-join counts its caller as one of that many executors, so a
+  /// caller that is itself a worker (a served request) gets every core,
+  /// and an off-pool caller leaves one worker free.
   explicit ThreadPool(int threads = 0);
   ~ThreadPool();
   ThreadPool(const ThreadPool&) = delete;
@@ -57,8 +58,8 @@ class ThreadPool {
   void submit(Task task);
 
   /// Run `fn(i)` for every i in [0, n) with at most `max_concurrency`
-  /// simultaneous executors (the calling thread included; <= 0 means
-  /// pool-size + 1).  Blocks until all n indices finished.  The caller
+  /// simultaneous executors (the calling thread included; <= 0 means the
+  /// pool size).  Blocks until all n indices finished.  The caller
   /// always executes indices itself, so completion never depends on free
   /// workers — safe to call from inside a pool task (nested fan-out).
   /// The first exception thrown by `fn` is rethrown here after all

@@ -46,6 +46,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/parallel.h"
 #include "common/thread_pool.h"
 #include "kernels/backend.h"
 #include "kernels/plan.h"
@@ -69,13 +70,13 @@ int tiled_max_concurrency() {
     const int n = std::atoi(env);
     if (n >= 1) return n;
   }
-  return 0;  // run_indexed: pool size + caller
+  return 0;  // run_indexed: the pool size
 }
 
 /// Tiles per super-block: enough in-flight work to keep every executor
 /// busy while the scratch footprint stays a small multiple of one tile.
 std::int64_t superblock_tiles() {
-  const std::int64_t executors = ThreadPool::global().size() + 1;
+  const std::int64_t executors = parallel_concurrency();
   return std::max<std::int64_t>(4, executors * 2);
 }
 

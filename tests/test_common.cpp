@@ -3,11 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <set>
 #include <thread>
 #include <vector>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "common/check.h"
 #include "common/parallel.h"
@@ -351,6 +356,26 @@ TEST(ParallelFor, HardwareThreadsPositive) {
   EXPECT_GE(hardware_threads(), 1);
   EXPECT_LE(hardware_threads(), 32);
 }
+
+#if defined(__linux__)
+TEST(ParallelFor, HardwareThreadsCountsTheAffinityMask) {
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(hardware_threads(), std::clamp(CPU_COUNT(&saved), 1, 32));
+
+  // Pin this thread to (at most) two of its CPUs, as `taskset -c 0,1`
+  // would: the count follows the mask, not the machine.
+  cpu_set_t pinned;
+  CPU_ZERO(&pinned);
+  for (int cpu = 0; cpu < CPU_SETSIZE && CPU_COUNT(&pinned) < 2; ++cpu) {
+    if (CPU_ISSET(cpu, &saved)) CPU_SET(cpu, &pinned);
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof(pinned), &pinned), 0);
+  const int pinned_threads = hardware_threads();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(pinned_threads, CPU_COUNT(&pinned));
+}
+#endif
 
 }  // namespace
 }  // namespace defa

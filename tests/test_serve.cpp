@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <future>
 #include <mutex>
 #include <numeric>
 #include <set>
@@ -92,9 +94,48 @@ TEST(ThreadPool, ParallelForUsesOnlyPersistentThreads) {
     });
   }
   // Repeated calls reuse the one global pool (+ this thread) instead of
-  // spawning new threads per call.
-  EXPECT_LE(seen.size(),
-            static_cast<std::size_t>(ThreadPool::global().size()) + 1);
+  // spawning new threads per call.  One call runs on parallel_concurrency()
+  // executors, but which workers help varies from round to round, so over
+  // all rounds every worker and this thread may show up.
+  EXPECT_LE(seen.size(), static_cast<std::size_t>(parallel_concurrency()) + 1);
+}
+
+/// Runs a fanned-out parallel_for whose every chunk waits until `want`
+/// distinct threads have entered a chunk (or a generous deadline passes),
+/// and returns how many distinct threads arrived.  A fork-join that gets
+/// fewer than `want` executors can never fill the latch.
+std::size_t fan_out_width(int want) {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::set<std::thread::id> arrived;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  parallel_for(0, 1 << 16, kMinParallelWork, [&](std::int64_t, std::int64_t) {
+    std::unique_lock<std::mutex> lock(mu);
+    arrived.insert(std::this_thread::get_id());
+    cv.notify_all();
+    cv.wait_until(lock, deadline,
+                  [&] { return arrived.size() >= static_cast<std::size_t>(want); });
+  });
+  return arrived.size();
+}
+
+TEST(ThreadPool, ParallelForOnAWorkerReachesEveryExecutor) {
+  // A served request runs on a pool worker; its fork-joins must still get
+  // parallel_concurrency() executors, the worker itself counted once.
+  std::promise<std::size_t> width;
+  ThreadPool::global().submit(
+      [&] { width.set_value(fan_out_width(parallel_concurrency())); });
+  EXPECT_EQ(width.get_future().get(), static_cast<std::size_t>(parallel_concurrency()));
+}
+
+TEST(ThreadPool, ParallelForOffThePoolReachesEveryExecutor) {
+  EXPECT_EQ(fan_out_width(parallel_concurrency()),
+            static_cast<std::size_t>(parallel_concurrency()));
+}
+
+TEST(ThreadPool, GlobalPoolHasOneWorkerPerHardwareThread) {
+  EXPECT_EQ(ThreadPool::global().size(), hardware_threads());
+  EXPECT_EQ(parallel_concurrency(), ThreadPool::global().size());
 }
 
 // ------------------------------------------------------------------- Histogram
