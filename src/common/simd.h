@@ -2,11 +2,14 @@
 
 /// \file simd.h
 /// Runtime SIMD-ISA detection and dispatch policy — the portable shim the
-/// `simd` kernels backend (src/kernels/simd_backend.cpp) stands on.
+/// vectorized kernels stand on: the `simd` kernels backend
+/// (src/kernels/simd_backend.cpp) and the AVX2 tier of `nn::matmul`
+/// (src/nn/linear.cpp), which uses only the CPU probe below.
 ///
-/// The repo ships three instruction-set tiers for the vectorized kernels:
-/// AVX2 (x86-64), NEON (aarch64) and a portable scalar fallback.  Which
-/// tier *runs* is a pure runtime decision made here, in three layers:
+/// The repo ships three instruction-set tiers for the `simd` backend:
+/// AVX2 (x86-64), NEON (aarch64) and a portable scalar fallback; and two
+/// for `nn::matmul`: AVX2 and its serial loop.  Which tier *runs* is a
+/// pure runtime decision made here, in three layers:
 ///
 ///  1. **CPU capability** — `cpu_supports(isa)` queries the hardware
 ///     (CPUID on x86, architecture baseline on ARM).  Detection is about
@@ -14,14 +17,15 @@
 ///     so one binary runs correctly across a heterogeneous fleet.
 ///  2. **Compiled availability** — whether a tier's kernels were compiled
 ///     into the binary at all is a per-translation-unit property of the
-///     kernels layer (the `DEFA_KERNELS_SIMD` CMake knob); the shim only
-///     expresses the *request* and the hardware truth.
+///     kernels and nn layers (the `DEFA_KERNELS_SIMD` CMake knob); the
+///     shim only expresses the *request* and the hardware truth.
 ///  3. **Operator override** — the `DEFA_SIMD` environment variable pins a
 ///     tier for A/B measurement and differential testing: `auto` (default)
 ///     picks the best runnable tier, `scalar` forces the portable fallback,
 ///     `avx2`/`neon` *require* that tier — making the backend report itself
 ///     unavailable (rather than silently degrade) when the host or build
-///     cannot honor the request.
+///     cannot honor the request.  `nn::matmul` does not read it: its
+///     tiers are bit-identical, so it takes AVX2 whenever it can.
 ///
 /// Everything here is cheap, allocation-free after first use, and safe to
 /// call per kernel invocation.

@@ -91,6 +91,7 @@ struct WeightKey {
   std::uint64_t seed = 0;
   int d_model = 0;
   int layer = 0;
+  int bits = 0;  ///< 0: the fp32 weights; n: their INTn fake quantization
   bool operator==(const WeightKey&) const = default;
 };
 
@@ -118,8 +119,8 @@ WeightCache& weight_cache() {
 
 }  // namespace
 
-std::shared_ptr<const Tensor> layer_value_weights(const ModelConfig& m, int layer) {
-  const WeightKey key{m.seed, m.d_model, layer};
+std::shared_ptr<const Tensor> layer_value_weights(const ModelConfig& m, int layer, int bits) {
+  const WeightKey key{m.seed, m.d_model, layer, bits};
   WeightCache& cache = weight_cache();
   {
     const std::lock_guard<std::mutex> lock(cache.mu);
@@ -127,10 +128,15 @@ std::shared_ptr<const Tensor> layer_value_weights(const ModelConfig& m, int laye
   }
   // Built outside the lock: concurrent first uses of one key may each
   // build it (identically), and the first to insert wins.
-  Rng rng(mix_seed(m.seed, 0xBEEF, static_cast<std::uint64_t>(layer)));
-  const float std = 1.0f / std::sqrt(static_cast<float>(m.d_model));
-  auto built = std::make_shared<const Tensor>(
-      Tensor::randn({m.d_model, m.d_model}, rng, 0.0f, std));
+  std::shared_ptr<const Tensor> built;
+  if (bits == 0) {
+    Rng rng(mix_seed(m.seed, 0xBEEF, static_cast<std::uint64_t>(layer)));
+    const float std = 1.0f / std::sqrt(static_cast<float>(m.d_model));
+    built = std::make_shared<const Tensor>(Tensor::randn({m.d_model, m.d_model}, rng, 0.0f, std));
+  } else {
+    built = std::make_shared<const Tensor>(
+        quant::fake_quantize(*layer_value_weights(m, layer), bits));
+  }
   const std::lock_guard<std::mutex> lock(cache.mu);
   if (auto hit = cache.find(key)) return hit;
   cache.lru.emplace_front(key, built);
@@ -369,8 +375,7 @@ EncoderResult EncoderPipeline::run(const PruneConfig& cfg,
       DEFA_TRACE_SPAN_ARG("value_projection", "kernel", "layer", layer);
       if (cfg.quantize) {
         const Tensor xq = quant::fake_quantize(x, cfg.bits);
-        const Tensor wq = quant::fake_quantize(w_value, cfg.bits);
-        v = backend.matmul(xq, wq);
+        v = backend.matmul(xq, *layer_value_weights(m, layer, cfg.bits));
         v = quant::fake_quantize(v, cfg.bits);
       } else {
         v = backend.matmul(x, w_value);

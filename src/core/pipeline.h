@@ -106,16 +106,19 @@ struct EncoderResult {
   }
 };
 
-/// Most distinct (seed, d_model, layer) weight matrices the value-weight
-/// cache keeps; the least recently used one is dropped beyond this.
+/// Most distinct (seed, d_model, layer, bits) weight matrices the
+/// value-weight cache keeps; the least recently used one is dropped beyond
+/// this.
 inline constexpr std::size_t kValueWeightCacheCapacity = 16;
 
 /// Value-projection weights of encoder block `layer`: a d_model x d_model
-/// N(0, 1/d_model) matrix drawn from (model seed, layer).  They are model
-/// parameters shared by every scene of a model, so each is built once and
-/// served from a thread-safe LRU cache keyed by (seed, d_model, layer).
+/// N(0, 1/d_model) matrix drawn from (model seed, layer), or with `bits` >
+/// 0 its `quant::fake_quantize(w, bits)`, the INTn weights the quantized
+/// value projection multiplies by.  They are model parameters shared by
+/// every scene of a model, so each is built once and served from a
+/// thread-safe LRU cache keyed by (seed, d_model, layer, bits).
 [[nodiscard]] std::shared_ptr<const Tensor> layer_value_weights(const ModelConfig& m,
-                                                                int layer);
+                                                                int layer, int bits = 0);
 /// Number of weight matrices the cache holds (at most the capacity).
 [[nodiscard]] std::size_t value_weight_cache_size();
 

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
 
 #include "common/rng.h"
 #include "common/stats.h"
@@ -71,6 +74,78 @@ TEST(Linear, LargeMatmulMatchesSerialReference) {
       acc += static_cast<double>(a(i, k)) * b(k, j);
     }
     EXPECT_NEAR(c(i, j), acc, 1e-3);
+  }
+}
+
+/// The serial i-k-j loop every matmul tier must reproduce bit for bit.
+Tensor serial_matmul(const Tensor& a, const Tensor& b) {
+  const std::int64_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
+  Tensor c({m, n});
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      const float av = a(i, kk);
+      if (av == 0.0f) continue;
+      for (std::int64_t j = 0; j < n; ++j) c(i, j) += av * b(kk, j);
+    }
+  }
+  return c;
+}
+
+TEST(Linear, MatmulBitIdenticalToSerialLoop) {
+  // Covers whichever tier the build and CPU resolve.  The m and n values
+  // hit every row and column tail of the AVX2 tier's 4 x 16 tile; m = 130
+  // with k * n = 256 * 256 is above kMinParallelWork, so on a multi-core
+  // host parallel_for's chunk boundaries fall mid-block.
+  Rng rng(17);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const std::int64_t k : {1, 256}) {
+    for (const std::int64_t m : {1, 3, 5, 130}) {
+      for (const std::int64_t n : {8, 17, 40, 256}) {
+        SCOPED_TRACE("m " + std::to_string(m) + " k " + std::to_string(k) + " n " +
+                     std::to_string(n));
+        Tensor a = Tensor::randn({m, k}, rng);
+        Tensor b = Tensor::randn({k, n}, rng);
+        // Scattered +0 and -0 entries, as quantization leaves them.
+        for (std::int64_t i = 0; i < m; ++i) {
+          for (std::int64_t kk = 0; kk < k; ++kk) {
+            if ((i + 2 * kk) % 5 == 0) a(i, kk) = 0.0f;
+            if ((3 * i + kk) % 7 == 0) a(i, kk) = -0.0f;
+          }
+        }
+        // Non-finite B entries, each in a row of B whose A column is all
+        // zero, so only skipping those terms keeps the output finite.
+        if (k > 1) {
+          for (const std::int64_t kk : {std::int64_t{3}, k - 1}) {
+            for (std::int64_t i = 0; i < m; ++i) a(i, kk) = (i % 2 == 0) ? 0.0f : -0.0f;
+            for (std::int64_t j = 0; j < n; ++j) {
+              b(kk, j) = (j % 3 == 0) ? inf : (j % 3 == 1) ? -inf : nan;
+            }
+          }
+          // A +inf row of B whose A column is zero in every fifth row, so
+          // in at most one row of a four-row block, at each position in
+          // turn, and positive elsewhere: the zero rows stay finite only if
+          // their own term is skipped, the others turn +inf.
+          for (std::int64_t i = 0; i < m; ++i) {
+            a(i, 5) = (i % 5 == 0) ? 0.0f : std::abs(a(i, 5)) + 1.0f;
+          }
+          for (std::int64_t j = 0; j < n; ++j) b(5, j) = inf;
+        }
+        // Whole zero rows, as FWP-pruned pixels would leave them.
+        for (std::int64_t i = 1; i < m; i += 4) {
+          for (std::int64_t kk = 0; kk < k; ++kk) a(i, kk) = (i % 8 == 1) ? 0.0f : -0.0f;
+        }
+        // -0 entries of B, whose products keep or flip the sign of a zero.
+        for (std::int64_t j = 0; j < n; j += 3) b(0, j) = -0.0f;
+
+        const Tensor got = nn::matmul(a, b);
+        const Tensor want = serial_matmul(a, b);
+        ASSERT_EQ(got.shape(), want.shape());
+        EXPECT_EQ(std::memcmp(got.data().data(), want.data().data(),
+                              static_cast<std::size_t>(want.numel()) * sizeof(float)),
+                  0);
+      }
+    }
   }
 }
 

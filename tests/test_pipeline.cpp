@@ -8,10 +8,12 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/pipeline.h"
+#include "quant/fixed_point.h"
 
 namespace defa::core {
 namespace {
@@ -283,6 +285,22 @@ TEST(ValueWeightCache, MatchesFreshDrawsAndSharesOneTensor) {
     const std::shared_ptr<const Tensor> first = layer_value_weights(m, k.layer);
     EXPECT_TRUE(bytes_equal(*first, fresh_weights(k.seed, k.d_model, k.layer)));
     EXPECT_EQ(layer_value_weights(m, k.layer).get(), first.get());
+  }
+}
+
+TEST(ValueWeightCache, CachesQuantizedWeightsBesideTheFp32Ones) {
+  const ModelConfig m = weight_model(0x9E1A, 256);
+  for (const int layer : {0, 1}) {
+    const std::shared_ptr<const Tensor> fp32 = layer_value_weights(m, layer);
+    for (const int bits : {8, 12, 16}) {
+      SCOPED_TRACE("layer " + std::to_string(layer) + " bits " + std::to_string(bits));
+      const std::shared_ptr<const Tensor> q = layer_value_weights(m, layer, bits);
+      EXPECT_TRUE(bytes_equal(*q, quant::fake_quantize(*layer_value_weights(m, layer), bits)));
+      EXPECT_NE(q.get(), fp32.get());
+      EXPECT_FALSE(bytes_equal(*q, *fp32));
+      EXPECT_EQ(layer_value_weights(m, layer, bits).get(), q.get());
+    }
+    EXPECT_EQ(layer_value_weights(m, layer).get(), fp32.get());
   }
 }
 
