@@ -2,14 +2,18 @@
 
 namespace defa::core {
 
-Tensor run_msgs(const ModelConfig& m, const Tensor& values, const Tensor& probs,
-                const Tensor& locs, const MsgsOptions& options) {
-  DEFA_CHECK(values.rank() == 2 && values.dim(0) == m.n_in() && values.dim(1) == m.d_model,
+namespace {
+
+void check_shapes(const ModelConfig& m, const std::vector<std::int64_t>& values_shape,
+                  const Tensor& probs, const Tensor& locs) {
+  DEFA_CHECK(values_shape.size() == 2 && values_shape[0] == m.n_in() &&
+                 values_shape[1] == m.d_model,
              "values must be (N_in, D)");
   DEFA_CHECK(probs.rank() == 3 && probs.dim(0) == m.n_in(), "probs must be (N, H, L*P)");
   DEFA_CHECK(locs.rank() == 5 && locs.dim(0) == m.n_in(), "locs must be (N, H, L, P, 2)");
+}
 
-  const kernels::Backend& backend = kernels::backend_or_default(options.backend);
+kernels::MsgsSpec to_spec(const MsgsOptions& options) {
   kernels::MsgsSpec spec;
   spec.point_mask = options.point_mask;
   spec.quantized = options.quantized;
@@ -17,7 +21,23 @@ Tensor run_msgs(const ModelConfig& m, const Tensor& values, const Tensor& probs,
   spec.frac_bits = options.frac_bits;
   spec.plan = options.plan;
   spec.locality = options.locality;
-  return backend.run_msgs(m, values, probs, locs, spec);
+  return spec;
+}
+
+}  // namespace
+
+Tensor run_msgs(const ModelConfig& m, const Tensor& values, const Tensor& probs,
+                const Tensor& locs, const MsgsOptions& options) {
+  check_shapes(m, values.shape(), probs, locs);
+  return kernels::backend_or_default(options.backend)
+      .run_msgs(m, values, probs, locs, to_spec(options));
+}
+
+Tensor run_msgs(const ModelConfig& m, const quant::QTensor& values, const Tensor& probs,
+                const Tensor& locs, const MsgsOptions& options) {
+  check_shapes(m, values.shape(), probs, locs);
+  return kernels::backend_or_default(options.backend)
+      .run_msgs_int(m, values, probs, locs, to_spec(options));
 }
 
 }  // namespace defa::core

@@ -16,6 +16,7 @@
 #include "config/model_config.h"
 #include "kernels/backend.h"
 #include "prune/masks.h"
+#include "quant/fixed_point.h"
 #include "tensor/tensor.h"
 
 namespace defa::core {
@@ -41,6 +42,14 @@ struct MsgsOptions {
 /// Grid-sample `values` (N_in x D) at `locs` (N, H, L, P, 2) and aggregate
 /// with `probs` (N, H, L*P).  Returns the (N, D) head-concatenated output.
 [[nodiscard]] Tensor run_msgs(const ModelConfig& m, const Tensor& values,
+                              const Tensor& probs, const Tensor& locs,
+                              const MsgsOptions& options);
+
+/// The INTn datapath on value codes the caller already quantized (the
+/// value projection's output, quant::quantize_kept_rows): the code width
+/// is `values.spec().bits`; `options.quantized` and `act_bits` are
+/// ignored.
+[[nodiscard]] Tensor run_msgs(const ModelConfig& m, const quant::QTensor& values,
                               const Tensor& probs, const Tensor& locs,
                               const MsgsOptions& options);
 

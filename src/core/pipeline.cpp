@@ -368,19 +368,22 @@ EncoderResult EncoderPipeline::run(const PruneConfig& cfg,
     }
     ls.kept_points = pmask.kept_count();
 
-    // (3) FWP-masked value projection (mask from the previous block)
+    // (3) FWP-masked value projection (mask from the previous block).  The
+    // INTn projection hands MSGS its output as value codes, quantized once.
     ls.kept_pixels = fmask.kept_count();
     Tensor v;
+    quant::QTensor v_codes;
     {
       DEFA_TRACE_SPAN_ARG("value_projection", "kernel", "layer", layer);
       if (cfg.quantize) {
         const Tensor xq = quant::fake_quantize(x, cfg.bits);
-        v = backend.matmul(xq, *layer_value_weights(m, layer, cfg.bits));
-        v = quant::fake_quantize(v, cfg.bits);
+        v_codes = quant::quantize_kept_rows(
+            backend.matmul(xq, *layer_value_weights(m, layer, cfg.bits)), cfg.bits,
+            cfg.fwp ? fmask.bytes() : std::span<const std::uint8_t>{});
       } else {
         v = backend.matmul(x, w_value);
+        if (cfg.fwp) zero_pruned_rows(m, fmask, v);
       }
-      if (cfg.fwp) zero_pruned_rows(m, fmask, v);
     }
 
     // (4) fused MSGS + aggregation (INTn datapath when quantizing)
@@ -389,13 +392,12 @@ EncoderResult EncoderPipeline::run(const PruneConfig& cfg,
       DEFA_TRACE_SPAN_ARG("gather_aggregate", "kernel", "layer", layer);
       MsgsOptions opt;
       opt.point_mask = &pmask;
-      opt.quantized = cfg.quantize;
-      opt.act_bits = cfg.bits;
       opt.frac_bits = cfg.bits;
       opt.backend = &backend;
       opt.plan = plan.get();
       opt.locality = locality.get();
-      out = run_msgs(m, v, *probs_hw, *locs, opt);
+      out = cfg.quantize ? run_msgs(m, v_codes, *probs_hw, *locs, opt)
+                         : run_msgs(m, v, *probs_hw, *locs, opt);
     }
 
     // (5) frequency counting -> fmap mask for the next block

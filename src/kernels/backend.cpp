@@ -5,7 +5,15 @@
 #include <mutex>
 #include <utility>
 
+#include "quant/fixed_point.h"
+
 namespace defa::kernels {
+
+Tensor Backend::run_msgs(const ModelConfig& m, const Tensor& values, const Tensor& probs,
+                         const Tensor& locs, const MsgsSpec& spec) const {
+  if (!spec.quantized) return run_msgs_fp32(m, values, probs, locs, spec);
+  return run_msgs_int(m, quant::QTensor(values, spec.act_bits), probs, locs, spec);
+}
 
 namespace {
 

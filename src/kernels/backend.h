@@ -15,7 +15,9 @@
 /// Five backends ship built in:
 ///  * `reference` — bit-identical to the historical scalar code paths
 ///    (nn::matmul/linear/softmax_lastdim and the pre-refactor core/msgs
-///    loops).  The correctness anchor.
+///    loops).  The correctness anchor.  Its INTn loop has an AVX2 tier
+///    (reference_avx2.cpp), bit-identical to the scalar loop, taken
+///    whenever the build and the CPU have AVX2.
 ///  * `fused` — the optimized CPU path: consumes a precomputed
 ///    `SamplingPlan` (level-major SoA bilinear corners + resolved
 ///    value-buffer offsets), skips PAP-pruned points with one predictable
@@ -38,6 +40,11 @@
 /// INTn datapath (enforced by tests/test_kernels.cpp and the differential
 /// harness in tests/test_backend_differential.cpp).
 ///
+/// Each backend has one INTn loop, `run_msgs_int`, and it reads value
+/// codes (`quant::QTensor`).  The encoder's INTn value projection produces
+/// those codes in one quantization and hands them over; the float entry
+/// `run_msgs` quantizes float values once and calls the same loop.
+///
 /// The contract every backend must honor (docs/KERNELS.md):
 ///  * deterministic — results are a pure function of the inputs;
 ///  * thread-compatible — `const` methods may run concurrently;
@@ -51,6 +58,10 @@
 #include "config/model_config.h"
 #include "prune/masks.h"
 #include "tensor/tensor.h"
+
+namespace defa::quant {
+class QTensor;
+}  // namespace defa::quant
 
 namespace defa::kernels {
 
@@ -111,10 +122,23 @@ class Backend {
   /// Fused mask-aware MSGS + aggregation: grid-sample `values` (N_in x D)
   /// at `locs` (N, H, L, P, 2), weight by `probs` (N, H, L*P), return the
   /// (N, D) head-concatenated output.  Shapes are validated by the caller
-  /// (core::run_msgs).
-  [[nodiscard]] virtual Tensor run_msgs(const ModelConfig& m, const Tensor& values,
-                                        const Tensor& probs, const Tensor& locs,
-                                        const MsgsSpec& spec) const = 0;
+  /// (core::run_msgs).  With `spec.quantized` the values are quantized
+  /// once, QTensor(values, spec.act_bits), and run_msgs_int runs on them.
+  [[nodiscard]] Tensor run_msgs(const ModelConfig& m, const Tensor& values,
+                                const Tensor& probs, const Tensor& locs,
+                                const MsgsSpec& spec) const;
+  /// The fp32 datapath of run_msgs (`spec.quantized` is ignored).
+  [[nodiscard]] virtual Tensor run_msgs_fp32(const ModelConfig& m, const Tensor& values,
+                                             const Tensor& probs, const Tensor& locs,
+                                             const MsgsSpec& spec) const = 0;
+  /// The INTn datapath on value codes quantized by the caller: the code
+  /// width is `values.spec().bits` (`spec.quantized`/`act_bits` are
+  /// ignored), fractions and probabilities use `spec.frac_bits`, and the
+  /// output is the int32 accumulator times `values.spec().scale`.
+  [[nodiscard]] virtual Tensor run_msgs_int(const ModelConfig& m,
+                                            const quant::QTensor& values,
+                                            const Tensor& probs, const Tensor& locs,
+                                            const MsgsSpec& spec) const = 0;
 };
 
 // ------------------------------------------------------------------ registry

@@ -117,7 +117,7 @@ void run_fp32_planned(const ModelConfig& m, const Tensor& values, const Tensor& 
   }
 }
 
-void run_quantized_planned(const ModelConfig& m, const Tensor& values,
+void run_quantized_planned(const ModelConfig& m, const quant::QTensor& qvalues,
                            const Tensor& probs, const SamplingPlan& plan,
                            const MsgsSpec& spec, Tensor& out) {
   const int dh = m.d_head();
@@ -125,7 +125,6 @@ void run_quantized_planned(const ModelConfig& m, const Tensor& values,
   const std::int32_t* offs = plan.offsets().data();
   const float* t0s = plan.t0().data();
   const float* t1s = plan.t1().data();
-  const quant::QTensor qvalues(values, spec.act_bits);
   const float out_scale = qvalues.spec().scale;
   const std::vector<std::int16_t> zero_row(static_cast<std::size_t>(dh), 0);
   const std::int16_t* zero = zero_row.data();
@@ -193,9 +192,22 @@ class FusedBackend final : public Backend {
     return nn::softmax_lastdim(t);
   }
 
-  [[nodiscard]] Tensor run_msgs(const ModelConfig& m, const Tensor& values,
-                                const Tensor& probs, const Tensor& locs,
-                                const MsgsSpec& spec) const override {
+  [[nodiscard]] Tensor run_msgs_fp32(const ModelConfig& m, const Tensor& values,
+                                     const Tensor& probs, const Tensor& locs,
+                                     const MsgsSpec& spec) const override {
+    return run(m, &values, nullptr, probs, locs, spec);
+  }
+
+  [[nodiscard]] Tensor run_msgs_int(const ModelConfig& m, const quant::QTensor& values,
+                                    const Tensor& probs, const Tensor& locs,
+                                    const MsgsSpec& spec) const override {
+    return run(m, nullptr, &values, probs, locs, spec);
+  }
+
+ private:
+  /// The fp32 path on `values`, or the INTn path on `codes` (one is null).
+  static Tensor run(const ModelConfig& m, const Tensor* values, const quant::QTensor* codes,
+                    const Tensor& probs, const Tensor& locs, const MsgsSpec& spec) {
     SamplingPlan local;
     const SamplingPlan* plan = spec.plan;
     if (plan == nullptr) {
@@ -204,10 +216,10 @@ class FusedBackend final : public Backend {
     }
     DEFA_CHECK(plan->matches(m), "fused backend: sampling plan does not match the model");
     Tensor out({m.n_in(), m.d_model});
-    if (spec.quantized) {
-      run_quantized_planned(m, values, probs, *plan, spec, out);
+    if (codes != nullptr) {
+      run_quantized_planned(m, *codes, probs, *plan, spec, out);
     } else {
-      run_fp32_planned(m, values, probs, *plan, spec.point_mask, out);
+      run_fp32_planned(m, *values, probs, *plan, spec.point_mask, out);
     }
     return out;
   }

@@ -95,9 +95,22 @@ class QuillBackend final : public Backend {
     return nn::softmax_lastdim(t);
   }
 
-  [[nodiscard]] Tensor run_msgs(const ModelConfig& m, const Tensor& values,
-                                const Tensor& probs, const Tensor& locs,
-                                const MsgsSpec& spec) const override {
+  [[nodiscard]] Tensor run_msgs_fp32(const ModelConfig& m, const Tensor& values,
+                                     const Tensor& probs, const Tensor& locs,
+                                     const MsgsSpec& spec) const override {
+    return run(m, &values, nullptr, probs, locs, spec);
+  }
+
+  [[nodiscard]] Tensor run_msgs_int(const ModelConfig& m, const quant::QTensor& values,
+                                    const Tensor& probs, const Tensor& locs,
+                                    const MsgsSpec& spec) const override {
+    return run(m, nullptr, &values, probs, locs, spec);
+  }
+
+ private:
+  /// The fp32 path on `values`, or the INTn path on `codes` (one is null).
+  static Tensor run(const ModelConfig& m, const Tensor* values, const quant::QTensor* codes,
+                    const Tensor& probs, const Tensor& locs, const MsgsSpec& spec) {
     const TierResolution res = simd_detail::resolve_tier();
     DEFA_CHECK(res.reason.empty(), "quill backend unavailable: " + res.reason);
 
@@ -129,8 +142,8 @@ class QuillBackend final : public Backend {
     };
 
     Tensor out({m.n_in(), m.d_model});
-    if (spec.quantized) {
-      const quant::QTensor qvalues(values, spec.act_bits);
+    if (codes != nullptr) {
+      const quant::QTensor& qvalues = *codes;
       simd_detail::QuantArgs qa;
       qa.m = &m;
       qa.codes = qvalues.codes().data();
@@ -144,7 +157,7 @@ class QuillBackend final : public Backend {
       std::vector<std::int32_t> acc(
           static_cast<std::size_t>(m.n_in()) * static_cast<std::size_t>(m.d_model), 0);
       const bool vector_safe =
-          spec.act_bits + spec.frac_bits <= simd_detail::kMaxVectorQuantBits;
+          qvalues.spec().bits + spec.frac_bits <= simd_detail::kMaxVectorQuantBits;
       const Isa isa = vector_safe ? res.isa : Isa::kScalar;
       for (int l = 0; l < m.n_levels; ++l) {
         switch (isa) {
@@ -174,7 +187,7 @@ class QuillBackend final : public Backend {
     } else {
       simd_detail::Fp32Args fa;
       fa.m = &m;
-      fa.values = values.data().data();
+      fa.values = values->data().data();
       fa.probs = probs.data().data();
       fa.plan = plan;
       fa.mask = spec.point_mask;

@@ -5,12 +5,16 @@
 // core/msgs.cpp (fp32 path identical to nn::msgs_aggregate_ref plus point
 // masking; INTn path per Sec. 4.3).  This backend is the bit-exactness
 // anchor every optimized backend is tested against — keep it boring.
+// The INTn loop has an AVX2 tier (reference_avx2.cpp) that vectorizes its
+// channel loop and is bit-identical to the scalar loop below.
 
 #include <array>
 #include <vector>
 
 #include "common/parallel.h"
+#include "common/simd.h"
 #include "kernels/backend.h"
+#include "kernels/simd_kernels.h"
 #include "nn/bilinear.h"
 #include "nn/linear.h"
 #include "nn/softmax.h"
@@ -44,13 +48,33 @@ void run_fp32(const ModelConfig& m, const Tensor& values, const Tensor& probs,
   });
 }
 
+/// The INTn AVX2 tier runs when it is compiled in, the CPU has AVX2 and
+/// its int32 fraction multiplies are exact for the widths.
+bool use_avx2(int act_bits, int frac_bits) {
+  static const bool compiled_and_supported =
+      simd_detail::reference_avx2_compiled() && simd::cpu_supports(simd::Isa::kAvx2);
+  return compiled_and_supported && act_bits + frac_bits <= simd_detail::kMaxVectorQuantBits;
+}
+
 /// Integer datapath: INTn value codes, Q0.frac fractions, Horner BI,
 /// fixed-point aggregation with int32 accumulation at the value scale.
-void run_quantized(const ModelConfig& m, const Tensor& values, const Tensor& probs,
+void run_quantized(const ModelConfig& m, const quant::QTensor& qvalues, const Tensor& probs,
                    const Tensor& locs, const MsgsSpec& opt, Tensor& out) {
-  const int dh = m.d_head();
-  const quant::QTensor qvalues(values, opt.act_bits);
   const float out_scale = qvalues.spec().scale;
+  if (use_avx2(qvalues.spec().bits, opt.frac_bits)) {
+    simd_detail::RefQuantArgs a;
+    a.m = &m;
+    a.codes = qvalues.codes().data();
+    a.probs = probs.data().data();
+    a.locs = locs.data().data();
+    a.mask = opt.point_mask;
+    a.out = out.data().data();
+    a.out_scale = out_scale;
+    a.frac_bits = opt.frac_bits;
+    simd_detail::run_reference_quant_avx2(a);
+    return;
+  }
+  const int dh = m.d_head();
   const std::int64_t d = m.d_model;
 
   parallel_for(0, m.n_in(), m.msgs_work_per_query(), [&](std::int64_t begin, std::int64_t end) {
@@ -119,15 +143,19 @@ class ReferenceBackend final : public Backend {
     return nn::softmax_lastdim(t);
   }
 
-  [[nodiscard]] Tensor run_msgs(const ModelConfig& m, const Tensor& values,
-                                const Tensor& probs, const Tensor& locs,
-                                const MsgsSpec& spec) const override {
+  [[nodiscard]] Tensor run_msgs_fp32(const ModelConfig& m, const Tensor& values,
+                                     const Tensor& probs, const Tensor& locs,
+                                     const MsgsSpec& spec) const override {
     Tensor out({m.n_in(), m.d_model});
-    if (spec.quantized) {
-      run_quantized(m, values, probs, locs, spec, out);
-    } else {
-      run_fp32(m, values, probs, locs, spec.point_mask, out);
-    }
+    run_fp32(m, values, probs, locs, spec.point_mask, out);
+    return out;
+  }
+
+  [[nodiscard]] Tensor run_msgs_int(const ModelConfig& m, const quant::QTensor& values,
+                                    const Tensor& probs, const Tensor& locs,
+                                    const MsgsSpec& spec) const override {
+    Tensor out({m.n_in(), m.d_model});
+    run_quantized(m, values, probs, locs, spec, out);
     return out;
   }
 };

@@ -305,9 +305,22 @@ class SimdBackend final : public Backend {
     return nn::softmax_lastdim(t);
   }
 
-  [[nodiscard]] Tensor run_msgs(const ModelConfig& m, const Tensor& values,
-                                const Tensor& probs, const Tensor& locs,
-                                const MsgsSpec& spec) const override {
+  [[nodiscard]] Tensor run_msgs_fp32(const ModelConfig& m, const Tensor& values,
+                                     const Tensor& probs, const Tensor& locs,
+                                     const MsgsSpec& spec) const override {
+    return run(m, &values, nullptr, probs, locs, spec);
+  }
+
+  [[nodiscard]] Tensor run_msgs_int(const ModelConfig& m, const quant::QTensor& values,
+                                    const Tensor& probs, const Tensor& locs,
+                                    const MsgsSpec& spec) const override {
+    return run(m, nullptr, &values, probs, locs, spec);
+  }
+
+ private:
+  /// The fp32 path on `values`, or the INTn path on `codes` (one is null).
+  static Tensor run(const ModelConfig& m, const Tensor* values, const quant::QTensor* codes,
+                    const Tensor& probs, const Tensor& locs, const MsgsSpec& spec) {
     // Resolved per call, like kernels::default_backend_name re-reads
     // DEFA_BACKEND: getenv cost is noise next to the kernel, and tests can
     // flip tiers without rebuilding process state.
@@ -323,8 +336,8 @@ class SimdBackend final : public Backend {
     DEFA_CHECK(plan->matches(m), "simd backend: sampling plan does not match the model");
 
     Tensor out({m.n_in(), m.d_model});
-    if (spec.quantized) {
-      const quant::QTensor qvalues(values, spec.act_bits);
+    if (codes != nullptr) {
+      const quant::QTensor& qvalues = *codes;
       simd_detail::QuantArgs qa;
       qa.m = &m;
       qa.codes = qvalues.codes().data();
@@ -337,7 +350,7 @@ class SimdBackend final : public Backend {
       // Wide configs would overflow the vector tiers' int32 intermediates;
       // the scalar tier multiplies in int64 like the reference backend.
       const bool vector_safe =
-          spec.act_bits + spec.frac_bits <= simd_detail::kMaxVectorQuantBits;
+          qvalues.spec().bits + spec.frac_bits <= simd_detail::kMaxVectorQuantBits;
       switch (vector_safe ? res.isa : Isa::kScalar) {
         case Isa::kAvx2: simd_detail::run_quant_avx2(qa); break;
         case Isa::kNeon: simd_detail::run_quant_neon(qa); break;
@@ -346,7 +359,7 @@ class SimdBackend final : public Backend {
     } else {
       simd_detail::Fp32Args fa;
       fa.m = &m;
-      fa.values = values.data().data();
+      fa.values = values->data().data();
       fa.probs = probs.data().data();
       fa.plan = plan;
       fa.mask = spec.point_mask;

@@ -181,7 +181,7 @@ void run_fp32_tiled(const ModelConfig& m, const Tensor& values, const Tensor& pr
 
 // ----------------------------------------------------------------- INTn
 
-void run_quant_tiled(const ModelConfig& m, const Tensor& values, const Tensor& probs,
+void run_quant_tiled(const ModelConfig& m, const quant::QTensor& qvalues, const Tensor& probs,
                      const SamplingPlan& plan, const MsgsSpec& spec, Tensor& out) {
   const int dh = m.d_head();
   const int lp = m.points_per_head();
@@ -191,7 +191,6 @@ void run_quant_tiled(const ModelConfig& m, const Tensor& values, const Tensor& p
   const std::int32_t* offs = plan.offsets().data();
   const float* t0s = plan.t0().data();
   const float* t1s = plan.t1().data();
-  const quant::QTensor qvalues(values, spec.act_bits);
   const float out_scale = qvalues.spec().scale;
   const std::int16_t* codes = qvalues.codes().data();
   const float* pdata = probs.data().data();
@@ -294,9 +293,22 @@ class TiledBackend final : public Backend {
     return nn::softmax_lastdim(t);
   }
 
-  [[nodiscard]] Tensor run_msgs(const ModelConfig& m, const Tensor& values,
-                                const Tensor& probs, const Tensor& locs,
-                                const MsgsSpec& spec) const override {
+  [[nodiscard]] Tensor run_msgs_fp32(const ModelConfig& m, const Tensor& values,
+                                     const Tensor& probs, const Tensor& locs,
+                                     const MsgsSpec& spec) const override {
+    return run(m, &values, nullptr, probs, locs, spec);
+  }
+
+  [[nodiscard]] Tensor run_msgs_int(const ModelConfig& m, const quant::QTensor& values,
+                                    const Tensor& probs, const Tensor& locs,
+                                    const MsgsSpec& spec) const override {
+    return run(m, nullptr, &values, probs, locs, spec);
+  }
+
+ private:
+  /// The fp32 path on `values`, or the INTn path on `codes` (one is null).
+  static Tensor run(const ModelConfig& m, const Tensor* values, const quant::QTensor* codes,
+                    const Tensor& probs, const Tensor& locs, const MsgsSpec& spec) {
     SamplingPlan local;
     const SamplingPlan* plan = spec.plan;
     if (plan == nullptr) {
@@ -305,10 +317,10 @@ class TiledBackend final : public Backend {
     }
     DEFA_CHECK(plan->matches(m), "tiled backend: sampling plan does not match the model");
     Tensor out({m.n_in(), m.d_model});
-    if (spec.quantized) {
-      run_quant_tiled(m, values, probs, *plan, spec, out);
+    if (codes != nullptr) {
+      run_quant_tiled(m, *codes, probs, *plan, spec, out);
     } else {
-      run_fp32_tiled(m, values, probs, *plan, spec.point_mask, out);
+      run_fp32_tiled(m, *values, probs, *plan, spec.point_mask, out);
     }
     return out;
   }

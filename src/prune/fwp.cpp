@@ -1,6 +1,18 @@
 #include "prune/fwp.h"
 
+#include <algorithm>
+
+#include "common/parallel.h"
+
 namespace defa::prune {
+
+namespace {
+
+/// parallel_for work estimate of counting one sampling point: locate its
+/// 2x2 neighborhood, bounds-check it and bump up to four counters, ~8 ns.
+constexpr std::int64_t kFreqPointWork = 8;
+
+}  // namespace
 
 void FreqCounter::merge(const FreqCounter& other) {
   DEFA_CHECK(counts_.size() == other.counts_.size(), "counter size mismatch");
@@ -20,21 +32,31 @@ double FreqCounter::level_mean(const ModelConfig& m, int l) const {
 FreqCounter count_sampled_frequency(const ModelConfig& m, const Tensor& locs,
                                     const PointMask& pmask) {
   DEFA_CHECK(locs.rank() == 5 && locs.dim(0) == m.n_in(), "locs shape");
-  FreqCounter freq(m);
   const std::int64_t n = m.n_in();
-  for (std::int64_t q = 0; q < n; ++q) {
-    for (int h = 0; h < m.n_heads; ++h) {
-      for (int l = 0; l < m.n_levels; ++l) {
-        for (int p = 0; p < m.n_points; ++p) {
-          if (!pmask.keep(q, h, l, p)) continue;
-          const nn::BiPoint bp = nn::bi_locate(locs(q, h, l, p, 0), locs(q, h, l, p, 1));
-          nn::for_each_neighbor(m, l, bp,
-                                [&](int /*which*/, std::int64_t token) { freq.add(token); });
+  const std::int64_t work = m.points_per_query() * kFreqPointWork;
+  // One counter per parallel_for chunk, merged in chunk order.  The counts
+  // are integers, so the merge is exact.
+  const ChunkPlan chunks = parallel_chunks(n, work);
+  std::vector<FreqCounter> partial(
+      static_cast<std::size_t>(std::max<std::int64_t>(chunks.count, 1)), FreqCounter(m));
+  parallel_for(0, n, work, [&](std::int64_t q0, std::int64_t q1) {
+    FreqCounter& freq = partial[static_cast<std::size_t>(q0 / chunks.size)];
+    for (std::int64_t q = q0; q < q1; ++q) {
+      for (int h = 0; h < m.n_heads; ++h) {
+        for (int l = 0; l < m.n_levels; ++l) {
+          for (int p = 0; p < m.n_points; ++p) {
+            if (!pmask.keep(q, h, l, p)) continue;
+            const nn::BiPoint bp = nn::bi_locate(locs(q, h, l, p, 0), locs(q, h, l, p, 1));
+            nn::for_each_neighbor(m, l, bp,
+                                  [&](int /*which*/, std::int64_t token) { freq.add(token); });
+          }
         }
       }
     }
-  }
-  return freq;
+  });
+  FreqCounter total = std::move(partial.front());
+  for (std::size_t c = 1; c < partial.size(); ++c) total.merge(partial[c]);
+  return total;
 }
 
 FmapMask fwp_prune(const ModelConfig& m, const FreqCounter& freq, double k,

@@ -9,6 +9,7 @@
 /// (skip memory access / PE work).
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "config/model_config.h"
@@ -73,6 +74,8 @@ class FmapMask {
   }
   /// Kept pixels restricted to one pyramid level.
   [[nodiscard]] std::int64_t kept_in_level(const ModelConfig& m, int l) const;
+  /// One keep byte (0 or 1) per token.
+  [[nodiscard]] std::span<const std::uint8_t> bytes() const noexcept { return bits_; }
 
  private:
   std::vector<std::uint8_t> bits_;

@@ -1,7 +1,9 @@
 #include "quant/fixed_point.h"
 
+#include <algorithm>
 #include <array>
 #include <mutex>
+#include <vector>
 
 #include "common/parallel.h"
 
@@ -44,6 +46,10 @@ QuantSpec QuantSpec::fit(std::span<const float> data, int bits) {
     const std::lock_guard<std::mutex> lock(mu);
     max_abs = std::max(max_abs, chunk_max);
   });
+  return from_max_abs(max_abs, bits);
+}
+
+QuantSpec QuantSpec::from_max_abs(float max_abs, int bits) {
   QuantSpec spec;
   spec.bits = bits;
   spec.scale = max_abs > 0.0f ? max_abs / static_cast<float>(spec.qmax()) : 1.0f;
@@ -84,6 +90,66 @@ Tensor fake_quantize(const Tensor& t, int bits) {
     }
   });
   return out;
+}
+
+QTensor quantize_kept_rows(const Tensor& t, int bits, std::span<const std::uint8_t> keep_rows) {
+  DEFA_CHECK(t.rank() == 2, "quantize_kept_rows expects a rank-2 tensor");
+  const std::int64_t rows = t.dim(0);
+  const std::int64_t cols = t.dim(1);
+  DEFA_CHECK(keep_rows.empty() || static_cast<std::int64_t>(keep_rows.size()) == rows,
+             "quantize_kept_rows: one keep flag per row");
+  const QuantSpec first = QuantSpec::fit(t.data(), bits);
+
+  QTensor q;
+  q.shape_ = t.shape();
+  q.codes_.resize(static_cast<std::size_t>(t.numel()));
+  std::span<const float> src = t.data();
+  std::int16_t* codes = q.codes_.data();
+  // The kept rows' largest |code| against `first`; an integer max, so the
+  // chunks merge exactly in any order.
+  std::int32_t max_code = 0;
+  std::mutex mu;
+  parallel_for(0, rows, cols * kQuantizeWork, [&](std::int64_t r0, std::int64_t r1) {
+    std::int32_t chunk_max = 0;
+    for (std::int64_t r = r0; r < r1; ++r) {
+      const auto row = static_cast<std::size_t>(r * cols);
+      if (!keep_rows.empty() && keep_rows[static_cast<std::size_t>(r)] == 0) {
+        std::fill_n(codes + row, cols, std::int16_t{0});
+        continue;
+      }
+      for (std::size_t i = row; i < row + static_cast<std::size_t>(cols); ++i) {
+        const std::int32_t c = quantize_value(src[i], first);
+        codes[i] = static_cast<std::int16_t>(c);
+        chunk_max = std::max(chunk_max, c < 0 ? -c : c);
+      }
+    }
+    const std::lock_guard<std::mutex> lock(mu);
+    max_code = std::max(max_code, chunk_max);
+  });
+
+  // The refit sees the dequantized kept values.  |dequantize_value(c)| is
+  // monotone in |c|, so their max-abs is that of the largest code; the
+  // std::max skips the NaN an infinite first scale makes of code 0, as
+  // the fit's NaN-skipping max does.
+  const float max_abs = std::max(0.0f, std::abs(dequantize_value(max_code, first)));
+  q.spec_ = QuantSpec::from_max_abs(max_abs, bits);
+
+  const std::int32_t qmax = first.qmax();
+  std::vector<std::int16_t> lut(static_cast<std::size_t>(2 * qmax + 1));
+  bool identity = true;
+  for (std::int32_t c = -qmax; c <= qmax; ++c) {
+    const std::int32_t mapped = quantize_value(dequantize_value(c, first), q.spec_);
+    lut[static_cast<std::size_t>(c + qmax)] = static_cast<std::int16_t>(mapped);
+    identity = identity && mapped == c;
+  }
+  if (!identity) {
+    for_elements(q.codes_.size(), [&](std::int64_t lo, std::int64_t hi) {
+      for (auto i = static_cast<std::size_t>(lo); i < static_cast<std::size_t>(hi); ++i) {
+        codes[i] = lut[static_cast<std::size_t>(codes[i] + qmax)];
+      }
+    });
+  }
+  return q;
 }
 
 }  // namespace defa::quant

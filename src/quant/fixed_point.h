@@ -38,6 +38,9 @@ struct QuantSpec {
 
   /// Spec covering the absolute maximum of `data` with the given width.
   [[nodiscard]] static QuantSpec fit(std::span<const float> data, int bits);
+  /// The spec `fit` returns for data whose NaN-skipping max-abs is
+  /// `max_abs`: scale max_abs / qmax, or 1 when max_abs is 0.
+  [[nodiscard]] static QuantSpec from_max_abs(float max_abs, int bits);
 };
 
 /// Quantize a single value: round to nearest with ties away from zero
@@ -87,6 +90,9 @@ class QTensor {
   [[nodiscard]] Tensor dequantize() const;
 
  private:
+  friend QTensor quantize_kept_rows(const Tensor& t, int bits,
+                                    std::span<const std::uint8_t> keep_rows);
+
   std::vector<std::int16_t> codes_;
   std::vector<std::int64_t> shape_;
   QuantSpec spec_;
@@ -94,6 +100,17 @@ class QTensor {
 
 /// Round-trip quantization error helper: dequant(quant(t)).
 [[nodiscard]] Tensor fake_quantize(const Tensor& t, int bits);
+
+/// The INTn value codes of a projection output `t` (rows x cols) whose
+/// rows with `keep_rows[r] == 0` are pruned (empty: every row kept), in
+/// one quantization.  Codes and scale are equal to those of
+///   QTensor(fake_quantize(t, bits) with the pruned rows zeroed, bits):
+/// the codes against the fit over all of `t` are remapped through a
+/// lookup table onto the scale refitted over the kept rows, a pass that
+/// is skipped when the table is the identity (the usual case: the
+/// maximum sits in a kept row).  Pruned rows get code 0.
+[[nodiscard]] QTensor quantize_kept_rows(const Tensor& t, int bits,
+                                         std::span<const std::uint8_t> keep_rows = {});
 
 /// Quantize a fraction in [0, 1) to `bits`-bit fixed point (used for the
 /// BI fractions t0/t1 in the hardware datapath).

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
+#include <cstring>
 
 #include "api/engine.h"
 #include "api/request.h"
@@ -18,6 +20,8 @@
 #include "nn/msdeform.h"
 #include "nn/softmax.h"
 #include "prune/pap.h"
+#include "quant/fixed_point.h"
+#include "quant/qmsgs.h"
 #include "serve/scenario.h"
 #include "workload/scene.h"
 
@@ -154,6 +158,113 @@ TEST(BackendEquivalence, MaskedQuantizedExactlyEqual) {
                        fused.run_msgs(fx.m, fx.values, fx.probs, fx.locs, spec),
                        "PAP-masked INT12");
 }
+
+// ------------------------------------------------- reference INTn tiers
+
+/// The reference INTn loop written out serially: the output both of the
+/// reference backend's tiers (AVX2 and the scalar loop) must reproduce
+/// byte for byte.
+Tensor serial_int_msgs(const ModelConfig& m, const quant::QTensor& v, const Tensor& probs,
+                       const Tensor& locs, const prune::PointMask& mask, int fb) {
+  const int dh = m.d_head();
+  Tensor out({m.n_in(), m.d_model});
+  for (std::int64_t q = 0; q < m.n_in(); ++q) {
+    for (int h = 0; h < m.n_heads; ++h) {
+      std::vector<std::int32_t> acc(static_cast<std::size_t>(dh), 0);
+      for (int l = 0; l < m.n_levels; ++l) {
+        const LevelShape& lv = m.levels[static_cast<std::size_t>(l)];
+        for (int p = 0; p < m.n_points; ++p) {
+          if (!mask.keep(q, h, l, p)) continue;
+          const std::int32_t prob_q =
+              quant::to_fraction_code(probs(q, h, l * m.n_points + p), fb);
+          if (prob_q == 0) continue;
+          const nn::BiPoint bp = nn::bi_locate(locs(q, h, l, p, 0), locs(q, h, l, p, 1));
+          const std::int32_t t0_q = quant::to_fraction_code(bp.t0, fb);
+          const std::int32_t t1_q = quant::to_fraction_code(bp.t1, fb);
+          const auto code = [&](int x, int y, int c) -> std::int32_t {
+            if (x < 0 || x >= lv.w || y < 0 || y >= lv.h) return 0;
+            const std::int64_t token = m.level_offset(l) + static_cast<std::int64_t>(y) * lv.w + x;
+            return v.code(token * m.d_model + h * dh + c);
+          };
+          for (int c = 0; c < dh; ++c) {
+            const std::int32_t s = quant::bi_horner_int(
+                code(bp.x0, bp.y0, c), code(bp.x0 + 1, bp.y0, c), code(bp.x0, bp.y0 + 1, c),
+                code(bp.x0 + 1, bp.y0 + 1, c), t0_q, t1_q, fb);
+            acc[static_cast<std::size_t>(c)] += quant::ag_weight_int(s, prob_q, fb);
+          }
+        }
+      }
+      for (int c = 0; c < dh; ++c) {
+        out(q, h * dh + c) = static_cast<float>(acc[static_cast<std::size_t>(c)]) * v.spec().scale;
+      }
+    }
+  }
+  return out;
+}
+
+struct IntTierCase {
+  int d_model;  ///< over 2 heads: d_head 32, or 12 (an 8-lane block plus a 4-channel tail)
+  int act_bits;
+  int frac_bits;  ///< 16/16 exceeds the int32 lane bound and takes the scalar loop
+};
+
+class ReferenceIntTiers : public ::testing::TestWithParam<IntTierCase> {};
+
+TEST_P(ReferenceIntTiers, MatchSerialLoopByteForByte) {
+  const IntTierCase tc = GetParam();
+  ModelConfig m;
+  m.d_model = tc.d_model;
+  m.n_heads = 2;
+  m.n_levels = 2;
+  m.n_points = 4;
+  m.levels = {LevelShape{16, 20}, LevelShape{8, 10}};
+  Rng rng(static_cast<std::uint64_t>(tc.d_model * 100 + tc.act_bits));
+
+  Tensor locs({m.n_in(), m.n_heads, m.n_levels, m.n_points, 2});
+  std::int64_t i = 0;
+  for (std::int64_t q = 0; q < m.n_in(); ++q) {
+    for (int h = 0; h < m.n_heads; ++h) {
+      for (int l = 0; l < m.n_levels; ++l) {
+        const LevelShape& lv = m.levels[static_cast<std::size_t>(l)];
+        for (int p = 0; p < m.n_points; ++p, ++i) {
+          float x = static_cast<float>(rng.uniform(-1.5, lv.w + 0.5));
+          float y = static_cast<float>(rng.uniform(-1.5, lv.h + 0.5));
+          if (i % 5 == 1) {  // exact integers, edges included
+            x = std::floor(x);
+            y = std::floor(y);
+          } else if (i % 5 == 3) {  // every neighbor out of bounds
+            x = -4.0f - x;
+          }
+          locs(q, h, l, p, 0) = x;
+          locs(q, h, l, p, 1) = y;
+        }
+      }
+    }
+  }
+  Tensor probs = nn::softmax_lastdim(
+      Tensor::randn({m.n_in(), m.n_heads, m.points_per_head()}, rng, 0.0f, 2.0f));
+  for (std::int64_t k = 0; k < probs.numel(); k += 7) {
+    probs.at_flat(k) = 1e-6f;  // Q0.frac code 0 at every width tested
+  }
+  prune::PointMask mask(m);
+  for (std::int64_t q = 0; q < m.n_in(); q += 3) mask.set_keep(q, q % 2, 1, 2, false);
+  const quant::QTensor values(Tensor::randn({m.n_in(), m.d_model}, rng, 0.0f, 2.0f),
+                              tc.act_bits);
+
+  kernels::MsgsSpec spec;
+  spec.point_mask = &mask;
+  spec.frac_bits = tc.frac_bits;
+  const Tensor got =
+      kernels::backend("reference").run_msgs_int(m, values, probs, locs, spec);
+  const Tensor want = serial_int_msgs(m, values, probs, locs, mask, tc.frac_bits);
+  ASSERT_EQ(got.numel(), want.numel());
+  EXPECT_EQ(std::memcmp(got.data().data(), want.data().data(), want.data().size_bytes()), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, ReferenceIntTiers,
+                         ::testing::Values(IntTierCase{64, 12, 12}, IntTierCase{24, 12, 12},
+                                           IntTierCase{64, 8, 8}, IntTierCase{24, 8, 12},
+                                           IntTierCase{64, 16, 16}, IntTierCase{24, 16, 16}));
 
 TEST(BackendEquivalence, MsdeformForwardBitIdentical) {
   const ModelConfig m = ModelConfig::tiny();

@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
+#include <vector>
 
+#include "common/parallel.h"
+#include "nn/bilinear.h"
 #include "nn/softmax.h"
 #include "prune/fwp.h"
 #include "prune/masks.h"
@@ -207,6 +211,101 @@ TEST(Fwp, FrequencyMatchesBilinearNeighborCount) {
   for (std::int64_t t = 0; t < m.n_in(); ++t) total += freq.count(t);
   EXPECT_EQ(total, m.n_in() * m.n_heads * m.n_levels * m.n_points * 4);
 }
+
+// ------------------------------------- parallel PAP and frequency counting
+
+/// Serial pap_prune, written independently of the library's chunked loop.
+PointMask serial_pap(const ModelConfig& m, const Tensor& probs, double tau,
+                     std::int64_t& pruned, double& dropped_mass) {
+  PointMask mask(m);
+  pruned = 0;
+  dropped_mass = 0.0;
+  for (std::int64_t q = 0; q < m.n_in(); ++q) {
+    for (int h = 0; h < m.n_heads; ++h) {
+      for (int l = 0; l < m.n_levels; ++l) {
+        for (int p = 0; p < m.n_points; ++p) {
+          const float prob = probs(q, h, static_cast<std::int64_t>(l) * m.n_points + p);
+          if (prob < static_cast<float>(tau)) {
+            mask.set_keep(q, h, l, p, false);
+            ++pruned;
+            dropped_mass += prob;
+          }
+        }
+      }
+    }
+  }
+  return mask;
+}
+
+/// Serial count_sampled_frequency.
+std::vector<std::uint32_t> serial_frequency(const ModelConfig& m, const Tensor& locs,
+                                            const PointMask& pmask) {
+  std::vector<std::uint32_t> counts(static_cast<std::size_t>(m.n_in()), 0);
+  for (std::int64_t q = 0; q < m.n_in(); ++q) {
+    for (int h = 0; h < m.n_heads; ++h) {
+      for (int l = 0; l < m.n_levels; ++l) {
+        for (int p = 0; p < m.n_points; ++p) {
+          if (!pmask.keep(q, h, l, p)) continue;
+          const nn::BiPoint bp = nn::bi_locate(locs(q, h, l, p, 0), locs(q, h, l, p, 1));
+          nn::for_each_neighbor(m, l, bp, [&](int, std::int64_t token) {
+            ++counts[static_cast<std::size_t>(token)];
+          });
+        }
+      }
+    }
+  }
+  return counts;
+}
+
+/// Both passes fan out over query chunks on the small preset (1700
+/// queries x 128 points) and must reproduce a serial pass exactly: mask
+/// bytes, pruned count, dropped-mass bits and every pixel count.
+class PruneMatchesSerial : public ::testing::TestWithParam<double> {};
+
+TEST_P(PruneMatchesSerial, MaskCountsAndMassBitIdentical) {
+  const ModelConfig m = ModelConfig::small();
+  ASSERT_GT(parallel_chunks(m.n_in(), m.points_per_query(), 4).count, 1);
+  workload::SceneParams sp;
+  sp.seed = m.seed;
+  const workload::SceneWorkload wl(m, sp);
+  const nn::MsdaFields f = wl.layer_fields(1);
+  const Tensor probs = nn::softmax_lastdim(f.logits);
+  const double tau = GetParam();
+
+  std::int64_t want_pruned = 0;
+  double want_mass = 0.0;
+  const PointMask want = serial_pap(m, probs, tau, want_pruned, want_mass);
+  PapStats stats;
+  const PointMask got = pap_prune(m, probs, tau, &stats);
+  ASSERT_GT(want_pruned, 0);
+  std::int64_t mask_mismatches = 0;
+  for (std::int64_t q = 0; q < m.n_in(); ++q) {
+    for (int h = 0; h < m.n_heads; ++h) {
+      for (int l = 0; l < m.n_levels; ++l) {
+        for (int p = 0; p < m.n_points; ++p) {
+          if (got.keep(q, h, l, p) != want.keep(q, h, l, p)) ++mask_mismatches;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mask_mismatches, 0);
+  EXPECT_EQ(stats.pruned_points, want_pruned);
+  EXPECT_EQ(stats.total_points, want.total());
+  const double qh = static_cast<double>(m.n_in()) * m.n_heads;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(stats.mean_dropped_mass),
+            std::bit_cast<std::uint64_t>(want_mass / qh));
+
+  const std::vector<std::uint32_t> want_counts = serial_frequency(m, f.locs, got);
+  const FreqCounter freq = count_sampled_frequency(m, f.locs, got);
+  ASSERT_EQ(freq.size(), m.n_in());
+  std::int64_t count_mismatches = 0;
+  for (std::int64_t t = 0; t < m.n_in(); ++t) {
+    if (freq.count(t) != want_counts[static_cast<std::size_t>(t)]) ++count_mismatches;
+  }
+  EXPECT_EQ(count_mismatches, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Taus, PruneMatchesSerial, ::testing::Values(0.005, 0.031, 0.08));
 
 // ----------------------------------------------------------- range narrowing
 TEST(Range, NoClampWhenInside) {

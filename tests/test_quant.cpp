@@ -5,8 +5,11 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "common/parallel.h"
 #include "common/rng.h"
@@ -277,6 +280,120 @@ INSTANTIATE_TEST_SUITE_P(
     GrainEdges, ParallelQuantizer,
     ::testing::Combine(::testing::Values(kGrain - 1, kGrain, 4 * kGrain + 3),
                        ::testing::Values(8, 12, 16)));
+
+// ------------------------------------ the projection -> MSGS value handoff
+
+/// The path quantize_kept_rows replaces: fake-quantize the projection,
+/// zero the pruned rows, quantize the result again.
+QTensor two_step_codes(const Tensor& v, int bits, const std::vector<std::uint8_t>& keep) {
+  Tensor fq = fake_quantize(v, bits);
+  for (std::int64_t r = 0; r < v.dim(0); ++r) {
+    if (!keep.empty() && keep[static_cast<std::size_t>(r)] == 0) {
+      for (float& x : fq.row(r)) x = 0.0f;
+    }
+  }
+  return QTensor(fq, bits);
+}
+
+/// quantize_kept_rows equals the two-step path: same shape, same scale
+/// bits, memcmp-equal codes.
+void expect_handoff_matches(const Tensor& v, int bits, const std::vector<std::uint8_t>& keep) {
+  const QTensor want = two_step_codes(v, bits, keep);
+  const QTensor got = quantize_kept_rows(v, bits, keep);
+  EXPECT_EQ(got.shape(), want.shape());
+  EXPECT_EQ(got.spec().bits, want.spec().bits);
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(got.spec().scale),
+            std::bit_cast<std::uint32_t>(want.spec().scale));
+  ASSERT_EQ(got.numel(), want.numel());
+  EXPECT_EQ(std::memcmp(got.codes().data(), want.codes().data(), got.codes().size_bytes()), 0);
+}
+
+/// Every third row pruned.
+std::vector<std::uint8_t> every_third_pruned(std::int64_t rows) {
+  std::vector<std::uint8_t> keep(static_cast<std::size_t>(rows), 1);
+  for (std::size_t r = 0; r < keep.size(); r += 3) keep[r] = 0;
+  return keep;
+}
+
+class ValueHandoff : public ::testing::TestWithParam<int> {};
+
+// 300 x 256 elements fan out over several chunks; 7 x 16 stays inline.
+TEST_P(ValueHandoff, RandomTensors) {
+  const int bits = GetParam();
+  for (const auto& [rows, cols] : {std::pair<std::int64_t, std::int64_t>{7, 16}, {300, 256}}) {
+    Rng rng(static_cast<std::uint64_t>(rows * 131 + bits));
+    const Tensor v = Tensor::randn({rows, cols}, rng, 0.0f, 3.0f);
+    expect_handoff_matches(v, bits, {});
+    expect_handoff_matches(v, bits, every_third_pruned(rows));
+    std::vector<std::uint8_t> random_keep(static_cast<std::size_t>(rows));
+    for (auto& k : random_keep) k = rng.uniform() < 0.6 ? 1 : 0;
+    expect_handoff_matches(v, bits, random_keep);
+  }
+}
+
+TEST_P(ValueHandoff, AllZeroRows) {
+  const int bits = GetParam();
+  Rng rng(5);
+  Tensor v = Tensor::randn({300, 256}, rng);
+  for (std::int64_t r = 1; r < 300; r += 4) {
+    for (float& x : v.row(r)) x = 0.0f;
+  }
+  expect_handoff_matches(v, bits, {});
+  expect_handoff_matches(v, bits, every_third_pruned(300));
+  expect_handoff_matches(Tensor::zeros({300, 256}), bits, every_third_pruned(300));
+}
+
+TEST_P(ValueHandoff, PrunedRowHoldingTheMaximumRemapsCodes) {
+  const int bits = GetParam();
+  Rng rng(9);
+  Tensor v = Tensor::randn({300, 256}, rng);
+  v(150, 7) = -40.0f;  // row 150 is pruned below
+  const std::vector<std::uint8_t> keep = every_third_pruned(300);
+  ASSERT_EQ(keep[150], 0);
+  // The refit over the kept rows moves the scale, so the codes against
+  // the first fit must be remapped.
+  const QTensor got = quantize_kept_rows(v, bits, keep);
+  EXPECT_NE(got.spec().scale, QuantSpec::fit(v.data(), bits).scale);
+  expect_handoff_matches(v, bits, keep);
+}
+
+TEST_P(ValueHandoff, EveryRowPruned) {
+  const int bits = GetParam();
+  Rng rng(11);
+  const Tensor v = Tensor::randn({300, 256}, rng);
+  const std::vector<std::uint8_t> none(300, 0);
+  expect_handoff_matches(v, bits, none);
+  const QTensor got = quantize_kept_rows(v, bits, none);
+  EXPECT_EQ(got.spec().scale, 1.0f);
+  for (const std::int16_t c : got.codes()) ASSERT_EQ(c, 0);
+}
+
+TEST_P(ValueHandoff, NanAndInfEntries) {
+  const int bits = GetParam();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<std::uint8_t> keep = every_third_pruned(300);
+  Rng rng(13);
+  const Tensor base = Tensor::randn({300, 256}, rng);
+
+  Tensor with_nan = base;  // NaN in kept and pruned rows
+  with_nan(1, 3) = nan;
+  with_nan(3, 5) = nan;
+  expect_handoff_matches(with_nan, bits, {});
+  expect_handoff_matches(with_nan, bits, keep);
+
+  Tensor inf_pruned = base;  // +inf only in a pruned row
+  inf_pruned(6, 0) = inf;
+  expect_handoff_matches(inf_pruned, bits, keep);
+
+  Tensor inf_kept = base;  // -inf in a kept row, NaN beside it
+  inf_kept(2, 9) = -inf;
+  inf_kept(4, 1) = nan;
+  expect_handoff_matches(inf_kept, bits, {});
+  expect_handoff_matches(inf_kept, bits, keep);
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, ValueHandoff, ::testing::Values(8, 12, 16));
 
 TEST(QuantizeFraction, GridBehaviour) {
   EXPECT_EQ(quantize_fraction(0.0f, 12), 0.0f);
