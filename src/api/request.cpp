@@ -5,6 +5,7 @@
 
 #include "core/experiments.h"
 #include "kernels/backend.h"
+#include "quant/fixed_point.h"
 
 namespace defa::api {
 
@@ -348,14 +349,17 @@ void EvalRequest::validate() const {
   }
 
   const workload::SceneParams sp = resolve_scene(m);
-  DEFA_CHECK(sp.n_objects > 0, "EvalRequest: scene needs at least one object");
+  DEFA_CHECK(sp.n_objects > 0 && sp.n_objects <= workload::kMaxObjects,
+             "EvalRequest: scene object count out of range [1, " +
+                 std::to_string(workload::kMaxObjects) + "]");
   DEFA_CHECK(sp.object_sigma_min > 0 && sp.object_sigma_max >= sp.object_sigma_min,
              "EvalRequest: malformed scene object extents");
 
   const core::PruneConfig cfg = resolve_prune(m);
   if (cfg.quantize) {
-    DEFA_CHECK(cfg.bits >= 2 && cfg.bits <= 24,
-               "EvalRequest: quantization bits out of range [2, 24]");
+    DEFA_CHECK(cfg.bits >= 2 && cfg.bits <= quant::kMaxBits,
+               "EvalRequest: quantization bits out of range [2, " +
+                   std::to_string(quant::kMaxBits) + "]");
   }
   if (cfg.pap) {
     DEFA_CHECK(cfg.pap_tau >= 0.0 && cfg.pap_tau < 1.0,

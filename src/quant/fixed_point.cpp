@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "common/parallel.h"
@@ -37,7 +38,8 @@ float max_abs_range(std::span<const float> data, std::size_t lo, std::size_t hi)
 }  // namespace
 
 QuantSpec QuantSpec::fit(std::span<const float> data, int bits) {
-  DEFA_CHECK(bits >= 2 && bits <= 16, "supported widths are 2..16 bits");
+  DEFA_CHECK(bits >= 2 && bits <= kMaxBits,
+             "supported widths are 2.." + std::to_string(kMaxBits) + " bits");
   float max_abs = 0.0f;
   std::mutex mu;
   for_elements(data.size(), [&](std::int64_t lo, std::int64_t hi) {

@@ -27,6 +27,9 @@ namespace defa::quant {
 /// a divide, a clamp and a rounding, ~2-3 ns.
 inline constexpr std::int64_t kQuantizeWork = 2;
 
+/// Widest supported quantization: codes are stored as int16.
+inline constexpr int kMaxBits = 16;
+
 /// Quantization parameters: value = code * scale, codes in
 /// [-(2^(bits-1)-1), 2^(bits-1)-1] (symmetric, no negative-extreme code).
 struct QuantSpec {

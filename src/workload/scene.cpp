@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <string>
 
 #include "common/parallel.h"
 
@@ -29,7 +30,8 @@ constexpr std::int64_t kTranscendentalWork = 32;
 SceneWorkload::SceneWorkload(ModelConfig model, SceneParams params)
     : model_(std::move(model)), params_(params) {
   model_.validate();
-  DEFA_CHECK(params_.n_objects >= 1, "scene needs at least one object");
+  DEFA_CHECK(params_.n_objects >= 1 && params_.n_objects <= kMaxObjects,
+             "scene needs 1.." + std::to_string(kMaxObjects) + " objects");
   DEFA_CHECK(params_.seek_fraction >= 0.0 && params_.seek_fraction <= 1.0,
              "seek_fraction in [0,1]");
 
@@ -149,9 +151,9 @@ nn::MsdaFields SceneWorkload::layer_fields(int layer) const {
       for (int h = 0; h < nh; ++h) {
         // Score objects; sample one (softly) per head.
         float total = 0.0f;
-        std::array<float, 64> score{};
+        std::array<float, kMaxObjects> score{};
         const std::size_t n_obj = objects_.size();
-        for (std::size_t k = 0; k < n_obj && k < score.size(); ++k) {
+        for (std::size_t k = 0; k < n_obj; ++k) {
           const ObjectBlob& b = objects_[k];
           const float reach = b.sigma + 0.10f;
           const float s =
@@ -162,7 +164,7 @@ nn::MsdaFields SceneWorkload::layer_fields(int layer) const {
         std::size_t chosen = 0;
         if (total > 1e-6f) {
           float pick = static_cast<float>(qrng.uniform01()) * total;
-          for (std::size_t k = 0; k < n_obj && k < score.size(); ++k) {
+          for (std::size_t k = 0; k < n_obj; ++k) {
             pick -= score[k];
             if (pick <= 0.0f) {
               chosen = k;

@@ -30,10 +30,14 @@
 
 namespace defa::workload {
 
+/// Most objects a scene may hold: the per-query object scores live in a
+/// fixed array of this size, so objects past it could never be attended.
+inline constexpr int kMaxObjects = 64;
+
 /// Generator knobs.  Defaults are calibrated (see bench/ablation_workload)
 /// so the default pipeline lands in the paper's reported pruning bands.
 struct SceneParams {
-  int n_objects = 14;
+  int n_objects = 14;  ///< in [1, kMaxObjects]
   double object_sigma_min = 0.02;   ///< normalized object extent, min
   double object_sigma_max = 0.07;   ///< normalized object extent, max
   double feature_noise = 0.25;      ///< i.i.d. feature noise stddev

@@ -11,6 +11,7 @@
 #include "api/registry.h"
 #include "api/request.h"
 #include "api/result_io.h"
+#include "quant/fixed_point.h"
 
 namespace defa::api {
 namespace {
@@ -152,6 +153,49 @@ TEST(EvalRequest, BadPruneParametersThrow) {
 
   req.prune = core::PruneConfig::only_fwp(-0.1);
   EXPECT_THROW(req.validate(), CheckError);
+}
+
+/// The message of the CheckError `req.validate()` throws, or "" if none.
+std::string validation_error(const EvalRequest& req) {
+  try {
+    req.validate();
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(EvalRequest, QuantizationWidthBoundedByCodeWidth) {
+  // Codes are int16: 16 bits is the widest width evaluation supports, so
+  // wider requests must fail validation rather than evaluation.
+  EvalRequest req = tiny_request();
+  req.prune = core::PruneConfig::only_quant(quant::kMaxBits);
+  EXPECT_EQ(validation_error(req), "");
+  for (const int bits : {17, 24}) {
+    req.prune = core::PruneConfig::only_quant(bits);
+    EXPECT_NE(validation_error(req).find("EvalRequest: quantization bits out of range [2, 16]"),
+              std::string::npos)
+        << bits;
+  }
+}
+
+TEST(EvalRequest, WidestQuantizationEvaluates) {
+  EvalRequest req = tiny_request();
+  req.prune = core::PruneConfig::only_quant(quant::kMaxBits);
+  Engine engine;
+  EXPECT_NO_THROW((void)engine.run(req));
+}
+
+TEST(EvalRequest, SceneObjectCountBounded) {
+  EvalRequest req = tiny_request();
+  workload::SceneParams sp;
+  sp.n_objects = workload::kMaxObjects;
+  req.scene = sp;
+  EXPECT_EQ(validation_error(req), "");
+  sp.n_objects = workload::kMaxObjects + 1;
+  req.scene = sp;
+  EXPECT_NE(validation_error(req).find("EvalRequest: scene object count out of range [1, 64]"),
+            std::string::npos);
 }
 
 TEST(EvalRequest, BadSceneThrows) {

@@ -17,12 +17,15 @@
 #include <thread>
 #include <vector>
 
+#include <sys/resource.h>
+
 #include "api/engine.h"
 #include "api/request.h"
 #include "common/parallel.h"
 #include "common/thread_pool.h"
 #include "core/pipeline.h"
 #include "serve/loadgen.h"
+#include "serve/malloc_policy.h"
 #include "serve/metrics.h"
 #include "serve/scenario.h"
 #include "serve/scheduler.h"
@@ -987,6 +990,54 @@ TEST(ScenarioFile, SweepComparesPoliciesOnIdenticalSchedules) {
   for (const std::string& line : lines) EXPECT_EQ(commas(line), commas(lines[0]));
   EXPECT_NE(lines[1].find("fifo"), std::string::npos);
   EXPECT_NE(lines[2].find("locality"), std::string::npos);
+}
+
+// ---------------------------------------------------------- allocator policy
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define DEFA_TEST_REPLACED_MALLOC 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define DEFA_TEST_REPLACED_MALLOC 1
+#endif
+#endif
+
+long minor_faults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_minflt;
+}
+
+TEST(MallocPolicy, SteadyStateEncoderRunsTakeNoPageFaults) {
+#if defined(DEFA_TEST_REPLACED_MALLOC) || !defined(__GLIBC__)
+  GTEST_SKIP() << "needs glibc's own malloc";
+#else
+  ASSERT_TRUE(configure_malloc());
+  // A 4-level pyramid from a 24x32 base, 2 blocks, with every DEFA
+  // technique on at INT12: each run allocates and frees several
+  // multi-hundred-KB tensors per layer.
+  ModelConfig m;
+  m.name = "faults24x32";
+  m.n_layers = 2;
+  for (int l = 0, h = 24, w = 32; l < 4; ++l, h = (h + 1) / 2, w = (w + 1) / 2) {
+    m.levels.push_back(LevelShape{h, w});
+  }
+  m.validate();
+  workload::SceneParams p;
+  p.seed = 11;
+  const workload::SceneWorkload wl(m, p);
+  const core::EncoderPipeline pipe(wl);
+  const core::PruneConfig cfg = core::PruneConfig::defa_default(m);
+  ASSERT_TRUE(cfg.pap && cfg.fwp && cfg.narrow && cfg.quantize);
+  for (int i = 0; i < 2; ++i) (void)pipe.run(cfg);  // warm-up
+  constexpr int kRuns = 5;
+  const long before = minor_faults();
+  for (int i = 0; i < kRuns; ++i) (void)pipe.run(cfg);
+  const long per_run = (minor_faults() - before) / kRuns;
+  // Without the fixed thresholds glibc trims the freed heap top after each
+  // run and the next run faults it back in (~950 faults per run here).
+  EXPECT_LE(per_run, 64);
+#endif
 }
 
 // --------------------------------------------------------------------- loadgen

@@ -191,6 +191,11 @@ TEST(Scene, InvalidParamsThrow) {
   SceneParams p2;
   p2.seek_fraction = 1.5;
   EXPECT_THROW(SceneWorkload(m, p2), CheckError);
+  SceneParams p3;
+  p3.n_objects = kMaxObjects + 1;
+  EXPECT_THROW(SceneWorkload(m, p3), CheckError);
+  p3.n_objects = kMaxObjects;
+  EXPECT_NO_THROW(SceneWorkload(m, p3));
 }
 
 TEST(Scene, FmapValuesFinite) {

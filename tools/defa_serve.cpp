@@ -60,16 +60,13 @@
 #include "kernels/backend.h"
 #include "obs/export.h"
 #include "obs/trace.h"
+#include "serve/malloc_policy.h"
 #include "serve/protocol.h"
 #include "serve/server_loop.h"
 #include "serve/transport.h"
 #include "serve/wire/format.h"
 
 #include <unistd.h>
-
-#ifdef __GLIBC__
-#include <malloc.h>
-#endif
 
 namespace {
 
@@ -203,16 +200,7 @@ int run_listen(int port, const std::string& port_file,
 }  // namespace
 
 int main(int argc, char** argv) try {
-#ifdef __GLIBC__
-  // One malloc arena for the whole server.  glibc gives each thread that
-  // contends on malloc its own arena and keeps freed chunks there, so every
-  // pool worker that runs requests holds on to its own set of multi-MB
-  // request tensors.  Measured on perfbench's threshold_sweep (4-core
-  // x86-64 host, 25 s, seeds 1-2): a pool of four request-running workers
-  // peaked at 114.7 / 115.5 MB against 98.8 / 99.0 MB with three; with
-  // one arena both pool sizes peak at 69.0 - 69.2 MB.
-  mallopt(M_ARENA_MAX, 1);
-#endif
+  defa::serve::configure_malloc();
   std::string in_path, out_path, port_file;
   std::string metrics_out_path, trace_out_path;
   bool trace = false;
