@@ -369,8 +369,13 @@ void EvalRequest::validate() const {
     DEFA_CHECK(cfg.fwp_k > 0.0, "EvalRequest: FWP multiplier must be positive");
   }
   if (cfg.narrow) {
-    DEFA_CHECK(cfg.ranges.used_levels >= m.n_levels,
-               "EvalRequest: range spec covers fewer levels than the model");
+    DEFA_CHECK(cfg.ranges.used_levels == m.n_levels,
+               "EvalRequest: range_radii needs one radius per model level (" +
+                   std::to_string(m.n_levels) + "), got " +
+                   std::to_string(cfg.ranges.used_levels));
+    for (int l = 0; l < m.n_levels; ++l) {
+      DEFA_CHECK(cfg.ranges.radius(l) >= 0, "EvalRequest: range_radii must be >= 0");
+    }
   }
 
   resolve_hw(m).validate(m);

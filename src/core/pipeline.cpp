@@ -8,6 +8,7 @@
 #include "common/stats.h"
 #include "core/msgs.h"
 #include "nn/norm.h"
+#include "nn/softmax.h"
 #include "obs/trace.h"
 #include "quant/fixed_point.h"
 
@@ -161,55 +162,6 @@ void zero_pruned_rows(const ModelConfig& m, const prune::FmapMask& mask, Tensor&
   }
 }
 
-/// Quantize the sampling offsets (deltaP = loc - reference center) with one
-/// per-tensor spec, as the INTn MM datapath that generates them would.
-/// Coarse widths (INT8) visibly shift sampling positions — the dominant
-/// cause of the paper's 9.7-AP INT8 collapse.
-///
-/// Pass 1 turns the locations into offsets in place, one spec is fitted
-/// over all of them, and pass 2 writes back the locations of the
-/// requantized offsets.  Both passes run parallel over queries; each query
-/// touches only its own elements.
-void quantize_offsets(const ModelConfig& m, const Tensor& ref_norm, int bits,
-                      Tensor& locs) {
-  const std::int64_t n = m.n_in();
-  const std::int64_t per_query = m.points_per_query() * 2;
-  DEFA_DCHECK(locs.numel() == n * per_query, "locs shape");
-  // Visit the flat index of every (query, head, level, point) x coordinate
-  // (y follows it) with its level's reference center (cx, cy).
-  const auto for_points = [&](const auto& fn) {
-    parallel_for(0, n, per_query * quant::kQuantizeWork, [&](std::int64_t q0, std::int64_t q1) {
-      for (std::int64_t q = q0; q < q1; ++q) {
-        const float rx = ref_norm(q, 0);
-        const float ry = ref_norm(q, 1);
-        std::size_t i = static_cast<std::size_t>(q * per_query);
-        for (int h = 0; h < m.n_heads; ++h) {
-          for (int l = 0; l < m.n_levels; ++l) {
-            const LevelShape& lv = m.levels[static_cast<std::size_t>(l)];
-            const float cx = rx * static_cast<float>(lv.w) - 0.5f;
-            const float cy = ry * static_cast<float>(lv.h) - 0.5f;
-            for (int p = 0; p < m.n_points; ++p, i += 2) fn(i, cx, cy);
-          }
-        }
-      }
-    });
-  };
-
-  const std::span<float> loc = locs.data();
-  for_points([&](std::size_t i, float cx, float cy) {
-    loc[i] -= cx;
-    loc[i + 1] -= cy;
-  });
-  const quant::QuantSpec spec = quant::QuantSpec::fit(loc, bits);
-  const auto requantize = [&spec](float offset) {
-    return quant::dequantize_value(quant::quantize_value(offset, spec), spec);
-  };
-  for_points([&](std::size_t i, float cx, float cy) {
-    loc[i] = cx + requantize(loc[i]);
-    loc[i + 1] = cy + requantize(loc[i + 1]);
-  });
-}
-
 }  // namespace
 
 void EncoderPipeline::ensure_reference(const kernels::Backend* backend) const {
@@ -310,6 +262,8 @@ EncoderResult EncoderPipeline::run(const PruneConfig& cfg,
   Tensor x = wl_.fmap();
 
   prune::FmapMask fmask(m);  // all-keep for the first block
+  // The moved sampling locations, rewritten in place by every layer.
+  Tensor moved_locs;
 
   for (int layer = 0; layer < m.n_layers; ++layer) {
     const LayerRef& lref = ref_[static_cast<std::size_t>(layer)];
@@ -329,19 +283,22 @@ EncoderResult EncoderPipeline::run(const PruneConfig& cfg,
     // cached dense fields are used as-is unless one of these moves them.
     const Tensor* locs = &fields.locs;
     const Tensor* probs_hw = &probs;
-    Tensor moved_locs;
     Tensor quant_probs;
     if (cfg.quantize || cfg.narrow) {
       DEFA_TRACE_SPAN_ARG("quantize_narrow", "kernel", "layer", layer);
-      moved_locs = fields.locs;
       locs = &moved_locs;
+      const RangeSpec* ranges = cfg.narrow ? &cfg.ranges : nullptr;
       if (cfg.quantize) {
-        quantize_offsets(m, wl_.ref_norm(), cfg.bits, moved_locs);
-        quant_probs = backend.softmax_lastdim(quant::fake_quantize(fields.logits, cfg.bits));
+        const prune::ClampStats clamp = prune::quantize_and_clamp(
+            m, wl_.ref_norm(), cfg.bits, ranges, fields.locs, moved_locs);
+        if (cfg.narrow) ls.clamp = clamp;
+        // Every backend's softmax is nn::softmax_lastdim; this one reads
+        // the logits through their INTn fake quantization.
+        quant_probs = nn::quantized_softmax_lastdim(fields.logits, cfg.bits);
         probs_hw = &quant_probs;
-      }
-      if (cfg.narrow) {
-        ls.clamp = prune::clamp_to_range(m, wl_.ref_norm(), cfg.ranges, moved_locs);
+      } else {
+        moved_locs = fields.locs;
+        ls.clamp = prune::clamp_to_range(m, wl_.ref_norm(), *ranges, moved_locs);
       }
     }
     // Quantization and range narrowing move the sampling locations; only
@@ -411,7 +368,10 @@ EncoderResult EncoderPipeline::run(const PruneConfig& cfg,
     // ---------------- bookkeeping ------------------------------
     ls.flops_dense = dense_flops(m);
     ls.flops_actual = pruned_flops(m, ls.kept_points, ls.kept_pixels);
-    ls.out_nrmse = nrmse(out_ref.data(), out.data());
+    {
+      DEFA_TRACE_SPAN_ARG("nrmse", "kernel", "layer", layer);
+      ls.out_nrmse = nrmse(out_ref.data(), out.data());
+    }
     result.total_dense += ls.flops_dense;
     result.total_actual += ls.flops_actual;
 
@@ -421,11 +381,17 @@ EncoderResult EncoderPipeline::run(const PruneConfig& cfg,
     result.layers.push_back(std::move(ls));
 
     // ---------------- residual + norm, advance the pruned trajectory
-    x.add_(out);
-    nn::rms_norm_rows(x);
+    {
+      DEFA_TRACE_SPAN_ARG("residual_norm", "kernel", "layer", layer);
+      x.add_(out);
+      nn::rms_norm_rows(x);
+    }
   }
 
-  result.final_nrmse = nrmse(x_ref_final_.data(), x.data());
+  {
+    DEFA_TRACE_SPAN("nrmse", "kernel");
+    result.final_nrmse = nrmse(x_ref_final_.data(), x.data());
+  }
   return result;
 }
 

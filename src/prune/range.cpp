@@ -1,79 +1,215 @@
 #include "prune/range.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <mutex>
+#include <string>
+#include <vector>
 
 #include "common/parallel.h"
+#include "quant/fixed_point.h"
 
 namespace defa::prune {
 
-ClampStats clamp_to_range(const ModelConfig& m, const Tensor& ref_norm,
-                          const RangeSpec& ranges, Tensor& locs) {
+namespace {
+
+using PerLevel = std::array<std::int64_t, kMaxLevels>;
+
+void check_ranges(const ModelConfig& m, const RangeSpec& ranges) {
   DEFA_CHECK(ranges.used_levels == m.n_levels, "range spec mismatch");
-  DEFA_CHECK(locs.rank() == 5 && locs.dim(0) == m.n_in(), "locs shape");
+  for (int l = 0; l < m.n_levels; ++l) {
+    DEFA_CHECK(ranges.radius(l) >= 0,
+               "range radius of level " + std::to_string(l) + " is negative");
+  }
+}
 
-  const std::int64_t n = m.n_in();
-  ClampStats stats;
-  stats.total_points = n * m.points_per_query();
-  stats.level_fraction.assign(static_cast<std::size_t>(m.n_levels), 0.0);
+/// The geometry of `m`'s sampling points around `ref_norm`, with `ranges`'
+/// radii when given.  The vectors back `grid`.
+struct Geometry {
+  std::vector<float> level_w;
+  std::vector<float> level_h;
+  std::vector<float> radius;
+  quant::detail::PointGrid grid;
 
-  std::vector<std::int64_t> level_clamped(static_cast<std::size_t>(m.n_levels), 0);
-  std::int64_t clamped = 0;
-  double max_excess = 0.0;
-  std::mutex mu;
+  Geometry(const ModelConfig& m, const Tensor& ref_norm, const RangeSpec* ranges) {
+    for (int l = 0; l < m.n_levels; ++l) {
+      const LevelShape& lv = m.levels[static_cast<std::size_t>(l)];
+      level_w.push_back(static_cast<float>(lv.w));
+      level_h.push_back(static_cast<float>(lv.h));
+      if (ranges != nullptr) radius.push_back(static_cast<float>(ranges->radius(l)));
+    }
+    grid.ref_norm = ref_norm.data().data();
+    grid.level_w = level_w.data();
+    grid.level_h = level_h.data();
+    grid.radius = ranges != nullptr ? radius.data() : nullptr;
+    grid.heads = m.n_heads;
+    grid.levels = m.n_levels;
+    grid.points = m.n_points;
+  }
+  Geometry(const Geometry&) = delete;
+  Geometry& operator=(const Geometry&) = delete;
+};
 
-  // Queries are independent; each chunk's integer counts and max merge
-  // exactly, so the stats do not depend on the chunking.  Per point: two
-  // clamps and the excess test, ~4 ns.
-  parallel_for(0, n, m.points_per_query() * 4, [&](std::int64_t q0, std::int64_t q1) {
-    std::vector<std::int64_t> chunk_level(static_cast<std::size_t>(m.n_levels), 0);
-    double chunk_excess = 0.0;
-    for (std::int64_t q = q0; q < q1; ++q) {
-      const float rx = ref_norm(q, 0);
-      const float ry = ref_norm(q, 1);
-      for (int h = 0; h < m.n_heads; ++h) {
-        for (int l = 0; l < m.n_levels; ++l) {
-          const LevelShape& lv = m.levels[static_cast<std::size_t>(l)];
-          const float cx = rx * static_cast<float>(lv.w) - 0.5f;
-          const float cy = ry * static_cast<float>(lv.h) - 0.5f;
-          const float r = static_cast<float>(ranges.radius(l));
-          for (int p = 0; p < m.n_points; ++p) {
-            float& x = locs(q, h, l, p, 0);
-            float& y = locs(q, h, l, p, 1);
-            const float nx = std::clamp(x, cx - r, cx + r);
-            const float ny = std::clamp(y, cy - r, cy + r);
-            const double excess = std::max(std::abs(static_cast<double>(x - nx)),
-                                           std::abs(static_cast<double>(y - ny)));
-            if (excess > 0.0) {
-              ++chunk_level[static_cast<std::size_t>(l)];
-              chunk_excess = std::max(chunk_excess, excess);
-              x = nx;
-              y = ny;
-            }
-          }
-        }
+/// Visit the points of queries [q0, q1) from index `first` of each
+/// (query, head, level) group of 2 * points floats on:
+/// fn(flat index of x (y follows it), level, cx, cy), with the level's
+/// reference center (cx, cy).
+template <typename Fn>
+void for_points(const quant::detail::PointGrid& g, std::int64_t first, std::int64_t q0,
+                std::int64_t q1, Fn&& fn) {
+  const std::int64_t group = 2 * g.points;
+  const std::int64_t per_query = g.heads * g.levels * group;
+  for (std::int64_t q = q0; q < q1; ++q) {
+    const float rx = g.ref_norm[2 * q];
+    const float ry = g.ref_norm[2 * q + 1];
+    std::int64_t base = q * per_query;
+    for (std::int64_t h = 0; h < g.heads; ++h) {
+      for (std::int64_t l = 0; l < g.levels; ++l, base += group) {
+        const float cx = rx * g.level_w[l] - 0.5f;
+        const float cy = ry * g.level_h[l] - 0.5f;
+        for (std::int64_t i = first; i < group; i += 2) fn(base + i, l, cx, cy);
       }
     }
-    const std::lock_guard<std::mutex> lock(mu);
+  }
+}
+
+/// Clamp one point to the box of radius r around (cx, cy); a moved point
+/// counts once and raises `excess` to its clamp distance.
+inline void clamp_point(float& x, float& y, float cx, float cy, float r,
+                        std::int64_t& clamped, double& excess) {
+  const float nx = std::clamp(x, cx - r, cx + r);
+  const float ny = std::clamp(y, cy - r, cy + r);
+  const double e = std::max(std::abs(static_cast<double>(x - nx)),
+                            std::abs(static_cast<double>(y - ny)));
+  if (e > 0.0) {
+    ++clamped;
+    excess = std::max(excess, e);
+    x = nx;
+    y = ny;
+  }
+}
+
+/// Per-level clamp counts and the largest clamp distance, merged across
+/// parallel chunks: integer sums and a max, so the result does not depend
+/// on the chunking.
+class ClampTally {
+ public:
+  void merge(const PerLevel& level, double excess) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    for (std::size_t l = 0; l < level.size(); ++l) level_[l] += level[l];
+    max_excess_ = std::max(max_excess_, excess);
+  }
+
+  [[nodiscard]] ClampStats stats(const ModelConfig& m) const {
+    ClampStats stats;
+    stats.total_points = m.n_in() * m.points_per_query();
+    stats.max_excess_px = max_excess_;
+    const double per_level_total = static_cast<double>(m.n_in()) * m.n_heads * m.n_points;
     for (int l = 0; l < m.n_levels; ++l) {
-      level_clamped[static_cast<std::size_t>(l)] += chunk_level[static_cast<std::size_t>(l)];
-      clamped += chunk_level[static_cast<std::size_t>(l)];
+      const std::int64_t c = level_[static_cast<std::size_t>(l)];
+      stats.clamped_points += c;
+      stats.level_fraction.push_back(
+          per_level_total > 0 ? static_cast<double>(c) / per_level_total : 0.0);
     }
-    max_excess = std::max(max_excess, chunk_excess);
+    return stats;
+  }
+
+ private:
+  std::mutex mu_;
+  PerLevel level_{};
+  double max_excess_ = 0.0;
+};
+
+}  // namespace
+
+ClampStats clamp_to_range(const ModelConfig& m, const Tensor& ref_norm,
+                          const RangeSpec& ranges, Tensor& locs) {
+  check_ranges(m, ranges);
+  DEFA_CHECK(locs.rank() == 5 && locs.dim(0) == m.n_in(), "locs shape");
+  const Geometry geo(m, ref_norm, &ranges);
+  float* xy = locs.data().data();
+  ClampTally tally;
+  // Queries are independent.  Per point: two clamps and the excess test,
+  // ~4 ns.
+  parallel_for(0, m.n_in(), m.points_per_query() * 4, [&](std::int64_t q0, std::int64_t q1) {
+    PerLevel level{};
+    double excess = 0.0;
+    for_points(geo.grid, 0, q0, q1, [&](std::int64_t i, std::int64_t l, float cx, float cy) {
+      clamp_point(xy[i], xy[i + 1], cx, cy, geo.radius[static_cast<std::size_t>(l)],
+                  level[static_cast<std::size_t>(l)], excess);
+    });
+    tally.merge(level, excess);
+  });
+  return tally.stats(m);
+}
+
+ClampStats quantize_and_clamp(const ModelConfig& m, const Tensor& ref_norm, int bits,
+                              const RangeSpec* ranges, const Tensor& locs, Tensor& out) {
+  if (ranges != nullptr) check_ranges(m, *ranges);
+  DEFA_CHECK(locs.rank() == 5 && locs.dim(0) == m.n_in(), "locs shape");
+  DEFA_CHECK(bits >= 2 && bits <= quant::kMaxBits,
+             "supported widths are 2.." + std::to_string(quant::kMaxBits) + " bits");
+  const Geometry geo(m, ref_norm, ranges);
+  const std::int64_t group = 2 * m.n_points;
+  // The AVX2 kernels take each group's leading full vectors; the scalar
+  // loops below take the rest (all of it without AVX2).
+  const bool avx2 =
+      quant::detail::use_quantize_avx2() && m.n_levels <= quant::detail::kMaxGridLevels;
+  const std::int64_t vec_end = avx2 ? group - group % quant::detail::kQuantizeLanes : 0;
+  // Per query: pass 1 subtracts and maxes 2 floats per point, ~0.5 ns;
+  // pass 2 quantizes them and clamps the point.
+  const std::int64_t max_work = m.points_per_query();
+  const std::int64_t requantize_work = m.points_per_query() * (2 * quant::kQuantizeWork + 4);
+
+  if (out.shape() != locs.shape()) out = Tensor(locs.shape());
+  const float* src = locs.data().data();
+  float* xy = out.data().data();
+
+  // Pass 1: the offsets' NaN-skipping max-abs (a max: order-free).
+  float max_abs = 0.0f;
+  std::mutex mu;
+  parallel_for(0, m.n_in(), max_work, [&](std::int64_t q0, std::int64_t q1) {
+    float chunk_max =
+        vec_end > 0 ? quant::detail::offsets_max_abs_avx2(geo.grid, src, q0, q1) : 0.0f;
+    if (vec_end < group) {
+      for_points(geo.grid, vec_end, q0, q1, [&](std::int64_t i, std::int64_t, float cx, float cy) {
+        chunk_max = std::max(chunk_max, std::abs(src[i] - cx));
+        chunk_max = std::max(chunk_max, std::abs(src[i + 1] - cy));
+      });
+    }
+    const std::lock_guard<std::mutex> lock(mu);
+    max_abs = std::max(max_abs, chunk_max);
   });
 
-  stats.clamped_points = clamped;
-  stats.max_excess_px = max_excess;
-  const double per_level_total =
-      static_cast<double>(n) * m.n_heads * m.n_points;
-  for (int l = 0; l < m.n_levels; ++l) {
-    stats.level_fraction[static_cast<std::size_t>(l)] =
-        per_level_total > 0
-            ? static_cast<double>(level_clamped[static_cast<std::size_t>(l)]) / per_level_total
-            : 0.0;
-  }
-  return stats;
+  // Pass 2: each offset, requantized, back into a location; then clamped.
+  const quant::QuantSpec spec = quant::QuantSpec::from_max_abs(max_abs, bits);
+  const auto requantize = [&spec](float offset) {
+    return quant::dequantize_value(quant::quantize_value(offset, spec), spec);
+  };
+  ClampTally tally;
+  parallel_for(0, m.n_in(), requantize_work, [&](std::int64_t q0, std::int64_t q1) {
+    PerLevel level{};
+    float vector_excess = 0.0f;
+    if (vec_end > 0) {
+      quant::detail::requantize_points_avx2(geo.grid, spec.scale, spec.qmax(), src, xy, q0, q1,
+                                            level.data(), &vector_excess);
+    }
+    double excess = vector_excess;
+    if (vec_end < group) {
+      const auto point = [&](std::int64_t i, std::int64_t l, float cx, float cy) {
+        xy[i] = cx + requantize(src[i] - cx);
+        xy[i + 1] = cy + requantize(src[i + 1] - cy);
+        if (ranges != nullptr) {
+          clamp_point(xy[i], xy[i + 1], cx, cy, geo.radius[static_cast<std::size_t>(l)],
+                      level[static_cast<std::size_t>(l)], excess);
+        }
+      };
+      for_points(geo.grid, vec_end, q0, q1, point);
+    }
+    tally.merge(level, excess);
+  });
+  return ranges != nullptr ? tally.stats(m) : ClampStats{};
 }
 
 std::int64_t range_window_bytes(const ModelConfig& m, const RangeSpec& ranges,

@@ -34,6 +34,22 @@ struct ClampStats {
 ClampStats clamp_to_range(const ModelConfig& m, const Tensor& ref_norm,
                           const RangeSpec& ranges, Tensor& locs);
 
+/// The INTn offset datapath feeding range narrowing, in two passes over the
+/// points of `locs` (N, H, L, P, 2).  Pass 1 takes the max-abs of the
+/// offsets deltaP = loc - center; pass 2 recomputes each offset,
+/// requantizes it, `bits` wide, against the one per-tensor spec fitted
+/// from that max, writes center + the result into `out` and, when
+/// `ranges` is given, clamps it to its level's range there.  Coarse widths
+/// (INT8) visibly shift sampling positions, the dominant cause of the
+/// paper's 9.7-AP INT8 collapse.  `out` is reallocated only when its shape
+/// differs from `locs`'; every element is written.  `out` and the returned
+/// stats (zero without `ranges`) equal, byte for byte, copying `locs`,
+/// turning every location into its offset, fitting a QuantSpec over them,
+/// writing back center + the requantized offset, and then running
+/// clamp_to_range.
+ClampStats quantize_and_clamp(const ModelConfig& m, const Tensor& ref_norm, int bits,
+                              const RangeSpec* ranges, const Tensor& locs, Tensor& out);
+
 /// On-chip storage (bytes) needed to buffer the bounded-range windows of all
 /// levels at full hidden dimension, as sized by the architecture.
 [[nodiscard]] std::int64_t range_window_bytes(const ModelConfig& m, const RangeSpec& ranges,

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/parallel.h"
+#include "common/simd.h"
 
 namespace defa::quant {
 
@@ -35,7 +36,36 @@ float max_abs_range(std::span<const float> data, std::size_t lo, std::size_t hi)
   return m;
 }
 
+/// Where the AVX2 tier stops on n elements: its leading n / 8 * 8, or 0
+/// when it does not run.
+std::size_t vector_end(std::size_t n) {
+  constexpr auto kLanes = static_cast<std::size_t>(detail::kQuantizeLanes);
+  return detail::use_quantize_avx2() ? n - n % kLanes : 0;
+}
+
+/// codes[i] = quantize_value(src[i], spec) for i in [0, n); returns the
+/// largest |code|.
+std::int32_t quantize_codes(const float* src, std::size_t n, const QuantSpec& spec,
+                            std::int16_t* codes) {
+  const std::size_t vec = vector_end(n);
+  std::int32_t max_code =
+      vec > 0 ? detail::quantize_avx2(src, static_cast<std::int64_t>(vec), spec.scale,
+                                      spec.qmax(), codes)
+              : 0;
+  for (std::size_t i = vec; i < n; ++i) {
+    const std::int32_t c = quantize_value(src[i], spec);
+    codes[i] = static_cast<std::int16_t>(c);
+    max_code = std::max(max_code, c < 0 ? -c : c);
+  }
+  return max_code;
+}
+
 }  // namespace
+
+bool detail::use_quantize_avx2() {
+  static const bool yes = quantize_avx2_compiled() && simd::cpu_supports(simd::Isa::kAvx2);
+  return yes;
+}
 
 QuantSpec QuantSpec::fit(std::span<const float> data, int bits) {
   DEFA_CHECK(bits >= 2 && bits <= kMaxBits,
@@ -64,9 +94,9 @@ QTensor::QTensor(const Tensor& t, const QuantSpec& spec) : shape_(t.shape()), sp
   codes_.resize(static_cast<std::size_t>(t.numel()));
   std::span<const float> src = t.data();
   for_elements(codes_.size(), [&](std::int64_t lo, std::int64_t hi) {
-    for (auto i = static_cast<std::size_t>(lo); i < static_cast<std::size_t>(hi); ++i) {
-      codes_[i] = static_cast<std::int16_t>(quantize_value(src[i], spec_));
-    }
+    const auto begin = static_cast<std::size_t>(lo);
+    (void)quantize_codes(src.data() + begin, static_cast<std::size_t>(hi - lo), spec_,
+                         codes_.data() + begin);
   });
 }
 
@@ -74,11 +104,29 @@ Tensor QTensor::dequantize() const {
   Tensor t(shape_);
   std::span<float> dst = t.data();
   for_elements(codes_.size(), [&](std::int64_t lo, std::int64_t hi) {
-    for (auto i = static_cast<std::size_t>(lo); i < static_cast<std::size_t>(hi); ++i) {
-      dst[i] = dequantize_value(codes_[i], spec_);
+    const auto begin = static_cast<std::size_t>(lo);
+    const auto end = static_cast<std::size_t>(hi);
+    const std::size_t vec = begin + vector_end(end - begin);
+    if (vec > begin) {
+      detail::dequantize_avx2(codes_.data() + begin, static_cast<std::int64_t>(vec - begin),
+                              spec_.scale, dst.data() + begin);
     }
+    for (std::size_t i = vec; i < end; ++i) dst[i] = dequantize_value(codes_[i], spec_);
   });
   return t;
+}
+
+void fake_quantize_into(std::span<const float> src, const QuantSpec& spec,
+                        std::span<float> dst) {
+  DEFA_DCHECK(src.size() == dst.size(), "fake_quantize_into sizes");
+  const std::size_t vec = vector_end(src.size());
+  if (vec > 0) {
+    detail::fake_quantize_avx2(src.data(), static_cast<std::int64_t>(vec), spec.scale,
+                               spec.qmax(), dst.data());
+  }
+  for (std::size_t i = vec; i < src.size(); ++i) {
+    dst[i] = dequantize_value(quantize_value(src[i], spec), spec);
+  }
 }
 
 Tensor fake_quantize(const Tensor& t, int bits) {
@@ -87,9 +135,9 @@ Tensor fake_quantize(const Tensor& t, int bits) {
   std::span<const float> src = t.data();
   std::span<float> dst = out.data();
   for_elements(dst.size(), [&](std::int64_t lo, std::int64_t hi) {
-    for (auto i = static_cast<std::size_t>(lo); i < static_cast<std::size_t>(hi); ++i) {
-      dst[i] = dequantize_value(quantize_value(src[i], spec), spec);
-    }
+    const auto begin = static_cast<std::size_t>(lo);
+    const auto count = static_cast<std::size_t>(hi - lo);
+    fake_quantize_into(src.subspan(begin, count), spec, dst.subspan(begin, count));
   });
   return out;
 }
@@ -119,11 +167,9 @@ QTensor quantize_kept_rows(const Tensor& t, int bits, std::span<const std::uint8
         std::fill_n(codes + row, cols, std::int16_t{0});
         continue;
       }
-      for (std::size_t i = row; i < row + static_cast<std::size_t>(cols); ++i) {
-        const std::int32_t c = quantize_value(src[i], first);
-        codes[i] = static_cast<std::int16_t>(c);
-        chunk_max = std::max(chunk_max, c < 0 ? -c : c);
-      }
+      chunk_max = std::max(chunk_max, quantize_codes(src.data() + row,
+                                                     static_cast<std::size_t>(cols), first,
+                                                     codes + row));
     }
     const std::lock_guard<std::mutex> lock(mu);
     max_code = std::max(max_code, chunk_max);

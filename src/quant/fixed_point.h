@@ -13,6 +13,22 @@
 /// Results are bit-identical at any thread count: elements are
 /// independent, and the one reduction (the max-abs in `fit`) is a max,
 /// which is order-free.
+///
+/// Two tiers, picked at runtime.  The AVX2 tier (fixed_point_avx2.cpp,
+/// compiled with -mavx2 under the `DEFA_KERNELS_SIMD` CMake option and
+/// taken when the CPU reports AVX2) runs `quantize_value` and
+/// `dequantize_value` eight lanes wide, with the same steps in the same
+/// order: divide by the scale, clamp to +-qmax with max/min, truncate,
+/// take the exact remainder, round half away from zero with compare
+/// masks, map NaN to code 0; dequantization is an int-to-float convert
+/// then one multiply (never an FMA).  Every step is an exactly-rounded
+/// IEEE operation on the same operands, so each lane equals the scalar
+/// chain bit for bit.  Leftover elements (fewer than eight) run the
+/// scalar chain itself.  The same tier carries the two fused passes over
+/// the sampling points (prune::quantize_and_clamp) and, through
+/// fake_quantize_into, the fake-quantized softmax
+/// (nn::quantized_softmax_lastdim); new vector code here must keep the
+/// rule: same operations, same order, no FMA, no reassociation.
 
 #include <algorithm>
 #include <cmath>
@@ -104,6 +120,11 @@ class QTensor {
 /// Round-trip quantization error helper: dequant(quant(t)).
 [[nodiscard]] Tensor fake_quantize(const Tensor& t, int bits);
 
+/// dst[i] = dequantize_value(quantize_value(src[i], spec), spec) for every
+/// i, on the calling thread (src and dst have equal sizes and may alias).
+void fake_quantize_into(std::span<const float> src, const QuantSpec& spec,
+                        std::span<float> dst);
+
 /// The INTn value codes of a projection output `t` (rows x cols) whose
 /// rows with `keep_rows[r] == 0` are pruned (empty: every row kept), in
 /// one quantization.  Codes and scale are equal to those of
@@ -122,5 +143,65 @@ class QTensor {
   float q = static_cast<float>(static_cast<std::int64_t>(f * steps + 0.5f)) / steps;
   return q > 1.0f ? 1.0f : q;
 }
+
+namespace detail {
+
+/// Elements the AVX2 tier processes together.
+inline constexpr std::int64_t kQuantizeLanes = 8;
+
+/// True when fixed_point_avx2.cpp holds the real kernels rather than
+/// stubs.
+[[nodiscard]] bool quantize_avx2_compiled() noexcept;
+/// True when the AVX2 tier runs here: compiled in, and the CPU (probed
+/// once) supports AVX2.
+[[nodiscard]] bool use_quantize_avx2();
+
+// The element kernels process the leading n / 8 * 8 elements; the caller
+// runs the scalar chain on the rest.  Call them only when
+// quantize_avx2_compiled() and the CPU supports AVX2.
+
+/// codes[i] = quantize_value(src[i], {., scale}) with qmax `qmax`; returns
+/// the largest |code| written (0 when none).
+std::int32_t quantize_avx2(const float* src, std::int64_t n, float scale, std::int32_t qmax,
+                           std::int16_t* codes);
+/// dst[i] = dequantize_value(codes[i], {., scale}).
+void dequantize_avx2(const std::int16_t* codes, std::int64_t n, float scale, float* dst);
+/// dst[i] = dequantize_value(quantize_value(src[i], spec), spec).
+void fake_quantize_avx2(const float* src, std::int64_t n, float scale, std::int32_t qmax,
+                        float* dst);
+
+/// Most pyramid levels the AVX2 offset kernels take.
+inline constexpr std::int64_t kMaxGridLevels = 8;
+
+/// The sampling-point geometry the AVX2 offset kernels walk: a
+/// (n, heads, levels, points, 2) tensor of locations, x and y interleaved,
+/// whose level-l points belong to the reference center
+/// (rx * level_w[l] - 0.5, ry * level_h[l] - 0.5) of their query.  The
+/// kernels process the leading (2 * points) / 8 * 8 floats of every
+/// (query, head, level) group; the caller runs the scalar chain on the
+/// rest of each group.
+struct PointGrid {
+  const float* ref_norm = nullptr;  ///< (n, 2) normalized reference points
+  const float* level_w = nullptr;   ///< per level: width
+  const float* level_h = nullptr;   ///< per level: height
+  const float* radius = nullptr;    ///< per level: clamp radius; nullptr: no clamp
+  std::int64_t heads = 0;
+  std::int64_t levels = 0;  ///< at most kMaxGridLevels
+  std::int64_t points = 0;
+};
+
+/// Queries [q0, q1): the NaN-skipping max |locs[i] - center| (0 when
+/// there is none).
+float offsets_max_abs_avx2(const PointGrid& g, const float* locs, std::int64_t q0,
+                           std::int64_t q1);
+/// Queries [q0, q1): out[i] = center + dequantize(quantize(locs[i] - center))
+/// and, with g.radius, that location clamped as prune::clamp_to_range
+/// does, adding each level's clamped points to level_clamped[l] and
+/// raising *max_excess to the largest clamp distance.
+void requantize_points_avx2(const PointGrid& g, float scale, std::int32_t qmax,
+                            const float* locs, float* out, std::int64_t q0, std::int64_t q1,
+                            std::int64_t* level_clamped, float* max_excess);
+
+}  // namespace detail
 
 }  // namespace defa::quant

@@ -11,7 +11,9 @@
 #include "api/registry.h"
 #include "api/request.h"
 #include "api/result_io.h"
+#include "prune/range.h"
 #include "quant/fixed_point.h"
+#include "workload/scene.h"
 
 namespace defa::api {
 namespace {
@@ -196,6 +198,46 @@ TEST(EvalRequest, SceneObjectCountBounded) {
   req.scene = sp;
   EXPECT_NE(validation_error(req).find("EvalRequest: scene object count out of range [1, 64]"),
             std::string::npos);
+}
+
+TEST(EvalRequest, RangeRadiiOnePerLevel) {
+  // The tiny preset has 2 levels: one radius short, one over, and a
+  // 4-level spec are all rejected before evaluation; exactly 2 passes.
+  const auto narrow_with = [](std::initializer_list<int> radii) {
+    RangeSpec ranges;
+    for (const int r : radii) ranges.radius_px[static_cast<std::size_t>(ranges.used_levels++)] = r;
+    EvalRequest req = tiny_request();
+    req.prune = core::PruneConfig::only_narrow(ModelConfig::tiny());
+    req.prune->ranges = ranges;
+    return req;
+  };
+  EXPECT_EQ(validation_error(narrow_with({8, 6})), "");
+  for (const auto& req : {narrow_with({8}), narrow_with({8, 6, 6}), narrow_with({8, 8, 6, 6})}) {
+    EXPECT_NE(validation_error(req).find("EvalRequest: range_radii needs one radius per model "
+                                         "level (2), got "),
+              std::string::npos);
+  }
+}
+
+TEST(EvalRequest, NegativeRangeRadiusThrows) {
+  // A negative radius would give std::clamp a lower bound above its upper
+  // one.  Rejected in validation, over the wire and on the library path.
+  const Json wire = Json::parse(
+      R"({"preset":"tiny","prune":{"narrow":true,"range_radii":[8,-3]}})");
+  const EvalRequest req = eval_request_from_json(wire);
+  EXPECT_NE(validation_error(req).find("EvalRequest: range_radii must be >= 0"),
+            std::string::npos);
+  const ModelConfig m = ModelConfig::tiny();
+  workload::SceneParams sp;
+  sp.seed = m.seed;
+  const workload::SceneWorkload wl(m, sp);
+  Tensor locs = wl.layer_fields(0).locs;
+  Tensor out;
+  EXPECT_THROW((void)prune::clamp_to_range(m, wl.ref_norm(), req.prune->ranges, locs),
+               CheckError);
+  EXPECT_THROW((void)prune::quantize_and_clamp(m, wl.ref_norm(), 12, &req.prune->ranges,
+                                               locs, out),
+               CheckError);
 }
 
 TEST(EvalRequest, BadSceneThrows) {

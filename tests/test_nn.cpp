@@ -8,6 +8,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/stats.h"
@@ -16,6 +17,7 @@
 #include "nn/msdeform.h"
 #include "nn/norm.h"
 #include "nn/softmax.h"
+#include "quant/fixed_point.h"
 
 namespace defa {
 namespace {
@@ -150,6 +152,38 @@ TEST(Linear, MatmulBitIdenticalToSerialLoop) {
 }
 
 // -------------------------------------------------------------------- softmax
+/// softmax_lastdim(fake_quantize(t, bits)), the path the fused softmax
+/// replaces, against the fused one: same shape, memcmp-equal data.
+void expect_quantized_softmax_matches(const Tensor& t, int bits) {
+  const Tensor want = nn::softmax_lastdim(quant::fake_quantize(t, bits));
+  const Tensor got = nn::quantized_softmax_lastdim(t, bits);
+  ASSERT_EQ(got.shape(), want.shape());
+  EXPECT_EQ(std::memcmp(got.data().data(), want.data().data(), want.data().size_bytes()), 0)
+      << "bits " << bits;
+}
+
+TEST(QuantizedSoftmax, MatchesFakeQuantizeThenSoftmax) {
+  // Row widths with and without an 8-lane tail; 4000 x 16 rows fan out.
+  for (const auto& shape : {std::vector<std::int64_t>{4000, 8, 16},
+                            std::vector<std::int64_t>{37, 3, 11},
+                            std::vector<std::int64_t>{5, 2}}) {
+    for (const int bits : {2, 8, 12, 16}) {
+      Rng rng(static_cast<std::uint64_t>(shape[0] * 7 + bits));
+      expect_quantized_softmax_matches(Tensor::randn(shape, rng, 0.0f, 4.0f), bits);
+    }
+  }
+}
+
+TEST(QuantizedSoftmax, NonFiniteLogitsMatch) {
+  Rng rng(3);
+  Tensor t = Tensor::randn({300, 4, 16}, rng, 0.0f, 4.0f);
+  t(7, 1, 3) = std::numeric_limits<float>::quiet_NaN();
+  t(9, 0, 15) = -std::numeric_limits<float>::infinity();
+  expect_quantized_softmax_matches(t, 12);
+  t(11, 2, 0) = std::numeric_limits<float>::infinity();  // infinite scale
+  expect_quantized_softmax_matches(t, 12);
+}
+
 TEST(Softmax, SumsToOne) {
   Rng rng(3);
   Tensor t = Tensor::randn({10, 7}, rng, 0.0f, 4.0f);

@@ -7,6 +7,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/parallel.h"
@@ -16,6 +17,7 @@
 #include "prune/masks.h"
 #include "prune/pap.h"
 #include "prune/range.h"
+#include "quant/fixed_point.h"
 #include "workload/scene.h"
 
 namespace defa::prune {
@@ -450,6 +452,133 @@ TEST_P(RangeMatchesSerial, LocsAndStatsBitIdentical) {
 
 // 0 = DEFA's level-wise default radii; the others are unified radii.
 INSTANTIATE_TEST_SUITE_P(Radii, RangeMatchesSerial, ::testing::Values(0, 1, 3));
+
+// ------------------------------------ the fused offset-quantize + clamp passes
+
+/// The chain quantize_and_clamp replaces, serially: turn every location
+/// into its offset from the reference center, fit one spec over all
+/// offsets, write back center + the requantized offset, then clamp.
+ClampStats old_narrow_chain(const ModelConfig& m, const Tensor& ref, int bits,
+                            const RangeSpec* ranges, Tensor& locs) {
+  const auto for_each_point = [&](const auto& fn) {
+    for (std::int64_t q = 0; q < m.n_in(); ++q) {
+      for (int h = 0; h < m.n_heads; ++h) {
+        for (int l = 0; l < m.n_levels; ++l) {
+          const LevelShape& lv = m.levels[static_cast<std::size_t>(l)];
+          const float cx = ref(q, 0) * static_cast<float>(lv.w) - 0.5f;
+          const float cy = ref(q, 1) * static_cast<float>(lv.h) - 0.5f;
+          for (int p = 0; p < m.n_points; ++p) {
+            fn(locs(q, h, l, p, 0), locs(q, h, l, p, 1), cx, cy);
+          }
+        }
+      }
+    }
+  };
+  for_each_point([](float& x, float& y, float cx, float cy) {
+    x -= cx;
+    y -= cy;
+  });
+  const quant::QuantSpec spec = quant::QuantSpec::fit(locs.data(), bits);
+  const auto requantize = [&spec](float offset) {
+    return quant::dequantize_value(quant::quantize_value(offset, spec), spec);
+  };
+  for_each_point([&](float& x, float& y, float cx, float cy) {
+    x = cx + requantize(x);
+    y = cy + requantize(y);
+  });
+  return ranges != nullptr ? serial_clamp(m, ref, *ranges, locs) : ClampStats{};
+}
+
+/// quantize_and_clamp equals the old chain: same location bytes, same
+/// counts, same bits in every double.
+void expect_narrow_matches(const ModelConfig& m, const Tensor& ref, const Tensor& locs, int bits,
+                           const RangeSpec* ranges) {
+  Tensor want_locs = locs;
+  const ClampStats want = old_narrow_chain(m, ref, bits, ranges, want_locs);
+  Tensor got_locs;
+  const ClampStats got = quantize_and_clamp(m, ref, bits, ranges, locs, got_locs);
+  ASSERT_EQ(got_locs.shape(), want_locs.shape());
+  EXPECT_EQ(std::memcmp(got_locs.data().data(), want_locs.data().data(),
+                        want_locs.data().size_bytes()),
+            0)
+      << "bits " << bits;
+  EXPECT_EQ(got.total_points, want.total_points);
+  EXPECT_EQ(got.clamped_points, want.clamped_points);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.max_excess_px),
+            std::bit_cast<std::uint64_t>(want.max_excess_px));
+  ASSERT_EQ(got.level_fraction.size(), want.level_fraction.size());
+  for (std::size_t l = 0; l < want.level_fraction.size(); ++l) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.level_fraction[l]),
+              std::bit_cast<std::uint64_t>(want.level_fraction[l]))
+        << "level " << l;
+  }
+}
+
+/// tiny has 2 points per (query, head, level): its groups are all scalar
+/// tail.  small's 4 points fill one 8-lane vector per group and fan out
+/// over several chunks.
+class NarrowPass : public ::testing::TestWithParam<bool> {
+ protected:
+  [[nodiscard]] ModelConfig model() const {
+    return GetParam() ? ModelConfig::small() : ModelConfig::tiny();
+  }
+};
+
+TEST_P(NarrowPass, MatchesOldChain) {
+  const ModelConfig m = model();
+  workload::SceneParams sp;
+  sp.seed = m.seed;
+  const workload::SceneWorkload wl(m, sp);
+  const RangeSpec level_wise = RangeSpec::level_wise_default(m.n_levels);
+  const RangeSpec unified = RangeSpec::unified(m.n_levels, 1);
+  for (const int layer : {0, 1}) {
+    const Tensor& locs = wl.layer_fields(layer).locs;
+    for (const int bits : {2, 8, 12, 16}) {
+      expect_narrow_matches(m, wl.ref_norm(), locs, bits, nullptr);
+      expect_narrow_matches(m, wl.ref_norm(), locs, bits, &level_wise);
+      expect_narrow_matches(m, wl.ref_norm(), locs, bits, &unified);
+    }
+  }
+  // The unified radius-1 box clamps many points on every level.
+  Tensor out;
+  EXPECT_GT(quantize_and_clamp(m, wl.ref_norm(), 12, &unified, wl.layer_fields(0).locs, out)
+                .clamped_points,
+            0);
+}
+
+TEST_P(NarrowPass, NonFiniteInputsMatchOldChain) {
+  const ModelConfig m = model();
+  workload::SceneParams sp;
+  sp.seed = m.seed;
+  const workload::SceneWorkload wl(m, sp);
+  const RangeSpec unified = RangeSpec::unified(m.n_levels, 1);
+  const Tensor& locs = wl.layer_fields(0).locs;
+
+  // A NaN reference x: that query's x coordinates stay NaN, so its
+  // points never count as clamped and keep their own y, clamped or not.
+  Tensor ref = wl.ref_norm();
+  ref(3, 0) = std::numeric_limits<float>::quiet_NaN();
+  expect_narrow_matches(m, ref, locs, 12, &unified);
+  expect_narrow_matches(m, ref, locs, 12, nullptr);
+
+  // NaN locations requantize to the center; an infinite one makes the
+  // fitted scale infinite and every location NaN.  The largest offset
+  // sits in the same point slot as a NaN one group later, so a max-abs
+  // that let the NaN replace its running maximum would lose it.
+  Tensor with_nan = locs;
+  with_nan(1, 0, 0, 1, 0) = std::numeric_limits<float>::quiet_NaN();
+  with_nan(2, 0, 1, 0, 1) = std::numeric_limits<float>::quiet_NaN();
+  with_nan(5, 0, 0, 1, 0) = 500.0f;
+  with_nan(5, 0, 1, 1, 0) = std::numeric_limits<float>::quiet_NaN();
+  expect_narrow_matches(m, wl.ref_norm(), with_nan, 12, &unified);
+  Tensor with_inf = locs;
+  with_inf(4, 1, 0, 1, 1) = -std::numeric_limits<float>::infinity();
+  expect_narrow_matches(m, wl.ref_norm(), with_inf, 12, &unified);
+  expect_narrow_matches(m, wl.ref_norm(), with_inf, 8, nullptr);
+}
+
+INSTANTIATE_TEST_SUITE_P(Presets, NarrowPass, ::testing::Values(false, true),
+                         [](const auto& info) { return info.param ? "small" : "tiny"; });
 
 TEST(Range, WindowBytesMatchSpec) {
   const ModelConfig m = ModelConfig::deformable_detr();

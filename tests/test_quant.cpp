@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cmath>
@@ -394,6 +395,152 @@ TEST_P(ValueHandoff, NanAndInfEntries) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, ValueHandoff, ::testing::Values(8, 12, 16));
+
+// ------------------------------------------ the AVX2 tier vs the scalar chain
+// Every tier must equal quantize_value / dequantize_value bit for bit.
+
+/// Values that stress each step of the chain under `spec`: NaN, +-inf,
+/// +-0, exact .5 ties, +-qmax and beyond, subnormals and huge values,
+/// then random normals.  Every special value appears both as given and
+/// multiplied by the scale, so ties stay exact ties after the divide.
+std::vector<float> edge_values(const QuantSpec& spec, std::size_t n) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float qmax = static_cast<float>(spec.qmax());
+  std::vector<float> special{std::numeric_limits<float>::quiet_NaN(),
+                             -std::numeric_limits<float>::quiet_NaN(),
+                             inf, -inf, 0.0f, -0.0f, 0.5f, -0.5f, 1.5f, -1.5f, 2.5f, -2.5f,
+                             0.49999997f, -0.49999997f, 0.50000006f, -0.50000006f,
+                             qmax, -qmax, qmax - 0.5f, -(qmax - 0.5f), qmax + 0.5f,
+                             -(qmax + 0.5f), qmax + 1.0f, -(qmax + 1.0f), 3e9f, -3e9f,
+                             std::numeric_limits<float>::max(),
+                             -std::numeric_limits<float>::max(),
+                             std::numeric_limits<float>::denorm_min(),
+                             -std::numeric_limits<float>::denorm_min(),
+                             std::numeric_limits<float>::min() / 3.0f,
+                             -std::numeric_limits<float>::min() / 3.0f};
+  std::vector<float> v;
+  for (const float x : special) {
+    v.push_back(x);
+    v.push_back(x * spec.scale);
+  }
+  Rng rng(static_cast<std::uint64_t>(spec.bits) * 977 + n);
+  while (v.size() < n) v.push_back(static_cast<float>(rng.normal(0.0, 2.0 * qmax)) * spec.scale);
+  v.resize(n);
+  return v;
+}
+
+/// The specs each width is checked under: the unit scale, an infinite
+/// one, a subnormal one and the fit of the edge values.
+std::vector<QuantSpec> tier_specs(int bits) {
+  std::vector<QuantSpec> specs;
+  for (const float scale : {1.0f, std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::denorm_min() * 8.0f, 0.0123f}) {
+    QuantSpec spec;
+    spec.bits = bits;
+    spec.scale = scale;
+    specs.push_back(spec);
+  }
+  QuantSpec unit;
+  unit.bits = bits;
+  const std::vector<float> sample = edge_values(unit, 200);
+  std::vector<float> finite;
+  for (const float x : sample) {
+    if (std::isfinite(x)) finite.push_back(x);
+  }
+  specs.push_back(QuantSpec::fit(finite, bits));
+  return specs;
+}
+
+template <typename T>
+bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+/// Lengths below, at and above multiples of the 8 lanes.
+constexpr std::size_t kTierLengths[] = {0, 1, 7, 8, 9, 15, 16, 17, 64, 69, 1003};
+
+class QuantTiers : public ::testing::TestWithParam<int> {};
+
+TEST_P(QuantTiers, VectorKernelsMatchScalarChain) {
+  if (!detail::use_quantize_avx2()) GTEST_SKIP() << "AVX2 tier does not run here";
+  const int bits = GetParam();
+  for (const QuantSpec& spec : tier_specs(bits)) {
+    for (const std::size_t n : kTierLengths) {
+      const std::vector<float> src = edge_values(spec, n);
+      const std::size_t vec = n - n % 8;
+      std::vector<std::int16_t> want_codes(vec);
+      std::vector<float> want_values(vec);
+      std::int32_t want_max = 0;
+      for (std::size_t i = 0; i < vec; ++i) {
+        const std::int32_t c = quantize_value(src[i], spec);
+        want_codes[i] = static_cast<std::int16_t>(c);
+        want_values[i] = dequantize_value(c, spec);
+        want_max = std::max(want_max, std::abs(c));
+      }
+      const auto len = static_cast<std::int64_t>(n);
+      std::vector<std::int16_t> codes(vec);
+      EXPECT_EQ(detail::quantize_avx2(src.data(), len, spec.scale, spec.qmax(), codes.data()),
+                want_max);
+      EXPECT_TRUE(same_bytes(codes, want_codes)) << "codes, scale " << spec.scale << ", n " << n;
+      std::vector<float> values(vec);
+      detail::dequantize_avx2(want_codes.data(), len, spec.scale, values.data());
+      EXPECT_TRUE(same_bytes(values, want_values)) << "dequantize, scale " << spec.scale;
+      std::vector<float> fake(vec);
+      detail::fake_quantize_avx2(src.data(), len, spec.scale, spec.qmax(), fake.data());
+      EXPECT_TRUE(same_bytes(fake, want_values)) << "fake, scale " << spec.scale << ", n " << n;
+    }
+  }
+}
+
+TEST_P(QuantTiers, PublicEntryPointsMatchScalarChain) {
+  // QTensor, its dequantize and fake_quantize_into, whichever tier runs,
+  // tails included.
+  const int bits = GetParam();
+  for (const QuantSpec& spec : tier_specs(bits)) {
+    for (const std::size_t n : kTierLengths) {
+      const std::vector<float> src = edge_values(spec, n);
+      Tensor t({static_cast<std::int64_t>(n)});
+      std::copy(src.begin(), src.end(), t.data().begin());
+      std::vector<std::int16_t> want_codes(n);
+      std::vector<float> want_values(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::int32_t c = quantize_value(src[i], spec);
+        want_codes[i] = static_cast<std::int16_t>(c);
+        want_values[i] = dequantize_value(c, spec);
+      }
+      const QTensor q(t, spec);
+      const std::vector<std::int16_t> codes(q.codes().begin(), q.codes().end());
+      EXPECT_TRUE(same_bytes(codes, want_codes)) << "scale " << spec.scale << ", n " << n;
+      const Tensor back = q.dequantize();
+      EXPECT_TRUE(same_bytes(std::vector<float>(back.data().begin(), back.data().end()),
+                             want_values));
+      std::vector<float> fake(n);
+      fake_quantize_into(src, spec, fake);
+      EXPECT_TRUE(same_bytes(fake, want_values)) << "scale " << spec.scale << ", n " << n;
+    }
+  }
+}
+
+TEST_P(QuantTiers, KeptRowsWithEdgeValuesMatchTwoStepPath) {
+  // quantize_kept_rows' vector max-code reduction and int16 pack, on rows
+  // whose width leaves a scalar tail, with edge values in kept and pruned
+  // rows.
+  const int bits = GetParam();
+  QuantSpec unit;
+  unit.bits = bits;
+  std::vector<float> values = edge_values(unit, 300 * 37 + 64);
+  values.erase(std::remove_if(values.begin(), values.end(),
+                              [](float x) { return std::isinf(x); }),
+               values.end());
+  Tensor v({300, 37});
+  ASSERT_GE(static_cast<std::int64_t>(values.size()), v.numel());
+  std::copy_n(values.begin(), v.numel(), v.data().begin());
+  expect_handoff_matches(v, bits, {});
+  expect_handoff_matches(v, bits, every_third_pruned(300));
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, QuantTiers, ::testing::Values(2, 8, 12, 16));
 
 TEST(QuantizeFraction, GridBehaviour) {
   EXPECT_EQ(quantize_fraction(0.0f, 12), 0.0f);
