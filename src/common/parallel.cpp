@@ -58,4 +58,16 @@ void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t work_per_it
   });
 }
 
+void for_each_sum_block(std::int64_t n, std::int64_t work_per_element,
+                        const std::function<void(std::int64_t, std::int64_t, std::int64_t)>&
+                            block_fn) {
+  DEFA_CHECK(n >= 0, "for_each_sum_block: negative element count");
+  parallel_for(0, sum_block_count(n), kSumBlock * std::max<std::int64_t>(work_per_element, 1),
+               [&](std::int64_t b0, std::int64_t b1) {
+                 for (std::int64_t b = b0; b < b1; ++b) {
+                   block_fn(b, b * kSumBlock, std::min(n, (b + 1) * kSumBlock));
+                 }
+               });
+}
+
 }  // namespace defa

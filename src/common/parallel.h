@@ -53,4 +53,26 @@ struct ChunkPlan {
 void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t work_per_item,
                   const std::function<void(std::int64_t, std::int64_t)>& chunk_fn);
 
+/// Elements per block of a fixed-block float sum.  A floating-point sum
+/// over n elements adds serially, in index order, within each block of
+/// kSumBlock consecutive elements (the last one may be shorter), and the
+/// block partials are then added in block order.  The blocks depend only
+/// on n, so the sum's bits do not depend on the thread count or on how
+/// parallel_for chunks the blocks.
+inline constexpr std::int64_t kSumBlock = 4096;
+
+/// Number of kSumBlock-element blocks covering n elements (0 for n = 0).
+[[nodiscard]] constexpr std::int64_t sum_block_count(std::int64_t n) noexcept {
+  return (n + kSumBlock - 1) / kSumBlock;
+}
+
+/// Invoke `block_fn(block, begin, end)` once for every fixed block of
+/// [0, n), the blocks spread over worker threads by a parallel_for whose
+/// per-block work is kSumBlock * work_per_element.  `block_fn` must be
+/// thread-safe for distinct blocks; the caller keeps one partial per block
+/// and adds them in block order.
+void for_each_sum_block(std::int64_t n, std::int64_t work_per_element,
+                        const std::function<void(std::int64_t, std::int64_t, std::int64_t)>&
+                            block_fn);
+
 }  // namespace defa

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <limits>
+#include <vector>
 
 #include "common/check.h"
+#include "common/parallel.h"
 
 namespace defa {
 
@@ -38,11 +40,25 @@ double rmse(std::span<const float> a, std::span<const float> b) {
 double nrmse(std::span<const float> reference, std::span<const float> test) {
   DEFA_CHECK(reference.size() == test.size(), "nrmse: size mismatch");
   if (reference.empty()) return 0.0;
+  // Fixed-block sums (common/parallel.h): serial within each block, the
+  // partials added in block order, so the bits do not depend on threads.
+  const auto n = static_cast<std::int64_t>(reference.size());
+  std::vector<double> err_part(static_cast<std::size_t>(sum_block_count(n)));
+  std::vector<double> ref_part(err_part.size());
+  for_each_sum_block(n, 2, [&](std::int64_t b, std::int64_t lo, std::int64_t hi) {
+    double err = 0.0, ref = 0.0;
+    for (auto i = static_cast<std::size_t>(lo); i < static_cast<std::size_t>(hi); ++i) {
+      const double d = static_cast<double>(reference[i]) - static_cast<double>(test[i]);
+      err += d * d;
+      ref += static_cast<double>(reference[i]) * static_cast<double>(reference[i]);
+    }
+    err_part[static_cast<std::size_t>(b)] = err;
+    ref_part[static_cast<std::size_t>(b)] = ref;
+  });
   double err = 0.0, ref = 0.0;
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    const double d = static_cast<double>(reference[i]) - static_cast<double>(test[i]);
-    err += d * d;
-    ref += static_cast<double>(reference[i]) * static_cast<double>(reference[i]);
+  for (std::size_t b = 0; b < err_part.size(); ++b) {
+    err += err_part[b];
+    ref += ref_part[b];
   }
   if (ref == 0.0) return err == 0.0 ? 0.0 : std::numeric_limits<double>::infinity();
   return std::sqrt(err / ref);

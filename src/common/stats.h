@@ -35,6 +35,8 @@ class RunningStats {
 
 /// RMSE normalized by the RMS magnitude of the reference `a`
 /// (dimensionless; 0 = identical).  Returns 0 when both are all-zero.
+/// Both sums are fixed-block sums (common/parallel.h: kSumBlock), fanned
+/// out over the blocks; the result does not depend on the thread count.
 [[nodiscard]] double nrmse(std::span<const float> reference, std::span<const float> test);
 
 /// Maximum absolute elementwise difference.

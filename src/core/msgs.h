@@ -46,7 +46,7 @@ struct MsgsOptions {
                               const MsgsOptions& options);
 
 /// The INTn datapath on value codes the caller already quantized (the
-/// value projection's output, quant::quantize_kept_rows): the code width
+/// value projection's output, core::project_value_codes): the code width
 /// is `values.spec().bits`; `options.quantized` and `act_bits` are
 /// ignored.
 [[nodiscard]] Tensor run_msgs(const ModelConfig& m, const quant::QTensor& values,

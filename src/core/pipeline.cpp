@@ -7,6 +7,7 @@
 #include "common/parallel.h"
 #include "common/stats.h"
 #include "core/msgs.h"
+#include "nn/linear.h"
 #include "nn/norm.h"
 #include "nn/softmax.h"
 #include "obs/trace.h"
@@ -92,21 +93,27 @@ struct WeightKey {
   std::uint64_t seed = 0;
   int d_model = 0;
   int layer = 0;
-  int bits = 0;  ///< 0: the fp32 weights; n: their INTn fake quantization
+  int bits = 0;  ///< 0: the fp32 weights; n: their INTn codes
   bool operator==(const WeightKey&) const = default;
+};
+
+/// One cached matrix: the fp32 weights (bits 0) or their INTn codes.
+struct WeightEntry {
+  std::shared_ptr<const Tensor> fp32;
+  std::shared_ptr<const quant::QTensor> codes;
 };
 
 /// The value-weight cache: most recently used first.
 struct WeightCache {
   std::mutex mu;
-  std::list<std::pair<WeightKey, std::shared_ptr<const Tensor>>> lru;
+  std::list<std::pair<WeightKey, WeightEntry>> lru;
 
-  /// Caller holds `mu`.  Moves a hit to the front.
-  std::shared_ptr<const Tensor> find(const WeightKey& key) {
+  /// Caller holds `mu`.  Moves a hit to the front; nullptr on a miss.
+  const WeightEntry* find(const WeightKey& key) {
     for (auto it = lru.begin(); it != lru.end(); ++it) {
       if (it->first == key) {
         lru.splice(lru.begin(), lru, it);
-        return it->second;
+        return &lru.front().second;
       }
     }
     return nullptr;
@@ -118,31 +125,51 @@ WeightCache& weight_cache() {
   return cache;
 }
 
-}  // namespace
-
-std::shared_ptr<const Tensor> layer_value_weights(const ModelConfig& m, int layer, int bits) {
-  const WeightKey key{m.seed, m.d_model, layer, bits};
+/// The cached entry for `key`, built by `build` on a miss.  Built outside
+/// the lock: concurrent first uses of one key may each build it
+/// (identically), and the first to insert wins.
+template <typename Build>
+WeightEntry cached_weights(const WeightKey& key, Build&& build) {
   WeightCache& cache = weight_cache();
   {
     const std::lock_guard<std::mutex> lock(cache.mu);
-    if (auto hit = cache.find(key)) return hit;
+    if (const WeightEntry* hit = cache.find(key)) return *hit;
   }
-  // Built outside the lock: concurrent first uses of one key may each
-  // build it (identically), and the first to insert wins.
-  std::shared_ptr<const Tensor> built;
-  if (bits == 0) {
-    Rng rng(mix_seed(m.seed, 0xBEEF, static_cast<std::uint64_t>(layer)));
-    const float std = 1.0f / std::sqrt(static_cast<float>(m.d_model));
-    built = std::make_shared<const Tensor>(Tensor::randn({m.d_model, m.d_model}, rng, 0.0f, std));
-  } else {
-    built = std::make_shared<const Tensor>(
-        quant::fake_quantize(*layer_value_weights(m, layer), bits));
-  }
+  WeightEntry built = build();
   const std::lock_guard<std::mutex> lock(cache.mu);
-  if (auto hit = cache.find(key)) return hit;
+  if (const WeightEntry* hit = cache.find(key)) return *hit;
   cache.lru.emplace_front(key, built);
   if (cache.lru.size() > kValueWeightCacheCapacity) cache.lru.pop_back();
   return built;
+}
+
+}  // namespace
+
+std::shared_ptr<const Tensor> layer_value_weights(const ModelConfig& m, int layer) {
+  return cached_weights(WeightKey{m.seed, m.d_model, layer, 0}, [&] {
+           Rng rng(mix_seed(m.seed, 0xBEEF, static_cast<std::uint64_t>(layer)));
+           const float std = 1.0f / std::sqrt(static_cast<float>(m.d_model));
+           return WeightEntry{std::make_shared<const Tensor>(
+                                  Tensor::randn({m.d_model, m.d_model}, rng, 0.0f, std)),
+                              nullptr};
+         })
+      .fp32;
+}
+
+std::shared_ptr<const quant::QTensor> layer_value_codes(const ModelConfig& m, int layer,
+                                                        int bits) {
+  DEFA_CHECK(bits > 0, "layer_value_codes: the INTn width must be positive");
+  return cached_weights(WeightKey{m.seed, m.d_model, layer, bits}, [&] {
+           return WeightEntry{nullptr, std::make_shared<const quant::QTensor>(
+                                           *layer_value_weights(m, layer), bits)};
+         })
+      .codes;
+}
+
+quant::QTensor project_value_codes(const ModelConfig& m, int layer, const Tensor& x, int bits,
+                                   std::span<const std::uint8_t> keep_rows) {
+  return nn::int_matmul(quant::quantize_rows(x, bits, keep_rows),
+                        *layer_value_codes(m, layer, bits), keep_rows);
 }
 
 std::size_t value_weight_cache_size() {
@@ -208,8 +235,7 @@ void EncoderPipeline::build_reference(const kernels::Backend* backend_opt) const
     opt.plan = plan.get();
     opt.locality = locality.get();
     lr.out_ref = run_msgs(m, v_ref, lr.probs, lr.fields.locs, opt);
-    x_ref.add_(lr.out_ref);
-    nn::rms_norm_rows(x_ref);
+    nn::residual_rms_norm_rows(x_ref, lr.out_ref);
     ref_.push_back(std::move(lr));
   }
   x_ref_final_ = std::move(x_ref);
@@ -326,17 +352,16 @@ EncoderResult EncoderPipeline::run(const PruneConfig& cfg,
     ls.kept_points = pmask.kept_count();
 
     // (3) FWP-masked value projection (mask from the previous block).  The
-    // INTn projection hands MSGS its output as value codes, quantized once.
+    // INTn projection runs in integers over the kept rows only and hands
+    // MSGS its output as value codes.
     ls.kept_pixels = fmask.kept_count();
     Tensor v;
     quant::QTensor v_codes;
     {
       DEFA_TRACE_SPAN_ARG("value_projection", "kernel", "layer", layer);
       if (cfg.quantize) {
-        const Tensor xq = quant::fake_quantize(x, cfg.bits);
-        v_codes = quant::quantize_kept_rows(
-            backend.matmul(xq, *layer_value_weights(m, layer, cfg.bits)), cfg.bits,
-            cfg.fwp ? fmask.bytes() : std::span<const std::uint8_t>{});
+        v_codes = project_value_codes(m, layer, x, cfg.bits,
+                                      cfg.fwp ? fmask.bytes() : std::span<const std::uint8_t>{});
       } else {
         v = backend.matmul(x, w_value);
         if (cfg.fwp) zero_pruned_rows(m, fmask, v);
@@ -383,8 +408,7 @@ EncoderResult EncoderPipeline::run(const PruneConfig& cfg,
     // ---------------- residual + norm, advance the pruned trajectory
     {
       DEFA_TRACE_SPAN_ARG("residual_norm", "kernel", "layer", layer);
-      x.add_(out);
-      nn::rms_norm_rows(x);
+      nn::residual_rms_norm_rows(x, out);
     }
   }
 

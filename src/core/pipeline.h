@@ -17,6 +17,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -28,6 +29,7 @@
 #include "prune/masks.h"
 #include "prune/pap.h"
 #include "prune/range.h"
+#include "quant/fixed_point.h"
 #include "workload/scene.h"
 
 namespace defa::core {
@@ -112,13 +114,25 @@ struct EncoderResult {
 inline constexpr std::size_t kValueWeightCacheCapacity = 16;
 
 /// Value-projection weights of encoder block `layer`: a d_model x d_model
-/// N(0, 1/d_model) matrix drawn from (model seed, layer), or with `bits` >
-/// 0 its `quant::fake_quantize(w, bits)`, the INTn weights the quantized
-/// value projection multiplies by.  They are model parameters shared by
-/// every scene of a model, so each is built once and served from a
-/// thread-safe LRU cache keyed by (seed, d_model, layer, bits).
+/// N(0, 1/d_model) matrix drawn from (model seed, layer).  They are model
+/// parameters shared by every scene of a model, so each is built once and
+/// served from a thread-safe LRU cache keyed by (seed, d_model, layer,
+/// bits), bits 0 here.
 [[nodiscard]] std::shared_ptr<const Tensor> layer_value_weights(const ModelConfig& m,
-                                                                int layer, int bits = 0);
+                                                                int layer);
+/// The INTn codes of those weights, `quant::QTensor(w, bits)`: the
+/// operand the integer value projection multiplies by, from the same
+/// cache under key bits.
+[[nodiscard]] std::shared_ptr<const quant::QTensor> layer_value_codes(const ModelConfig& m,
+                                                                      int layer, int bits);
+/// The INTn value projection of block `layer` ("MM mode"): the rows of
+/// `x` with keep_rows[r] != 0 (empty: every row) quantized once to `bits`
+/// over those rows (quant::quantize_rows), multiplied in integers by
+/// layer_value_codes and requantized (nn::int_matmul).  FWP-pruned rows
+/// are never read and get code 0.
+[[nodiscard]] quant::QTensor project_value_codes(const ModelConfig& m, int layer,
+                                                 const Tensor& x, int bits,
+                                                 std::span<const std::uint8_t> keep_rows = {});
 /// Number of weight matrices the cache holds (at most the capacity).
 [[nodiscard]] std::size_t value_weight_cache_size();
 

@@ -14,4 +14,9 @@ namespace defa::nn {
 /// Normalize every row of a rank-2 tensor to unit RMS (with epsilon guard).
 void rms_norm_rows(Tensor& x, float eps = 1e-6f);
 
+/// x <- rms_norm_rows(x + residual): byte-identical to `x.add_(residual);
+/// rms_norm_rows(x, eps)`, as one parallel row pass (each row is added,
+/// then normalized, with the same per-row double chain).
+void residual_rms_norm_rows(Tensor& x, const Tensor& residual, float eps = 1e-6f);
+
 }  // namespace defa::nn

@@ -41,6 +41,9 @@ class PointMask {
                         : 1.0 - static_cast<double>(kept_count()) /
                                     static_cast<double>(total());
   }
+  /// One keep byte (0 or 1) per point, in (q, h, l, p) order.
+  [[nodiscard]] std::span<const std::uint8_t> bytes() const noexcept { return bits_; }
+  [[nodiscard]] std::span<std::uint8_t> bytes() noexcept { return bits_; }
 
  private:
   [[nodiscard]] std::size_t index(std::int64_t q, int h, int l, int p) const noexcept {

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <vector>
 
 #include "common/parallel.h"
 
@@ -9,8 +10,8 @@ namespace defa::prune {
 
 namespace {
 
-/// parallel_for work estimate of thresholding one sampling point: a load,
-/// a compare and a mask-byte store, ~1-2 ns.
+/// Work estimate of thresholding one sampling point: a load, a compare,
+/// a mask-byte store and the dropped-mass add, ~1-2 ns.
 constexpr std::int64_t kPapPointWork = 2;
 
 }  // namespace
@@ -24,38 +25,48 @@ PointMask pap_prune(const ModelConfig& m, const Tensor& probs, double tau,
 
   PointMask mask(m);
   const float threshold = static_cast<float>(tau);
-  const std::int64_t n = m.n_in();
-  const std::int64_t per_query = m.points_per_query();
   const std::span<const float> p = probs.data();
-  // Each query owns its mask bytes, so the chunks may run in any order.
-  parallel_for(0, n, per_query * kPapPointWork, [&](std::int64_t q0, std::int64_t q1) {
-    for (std::int64_t q = q0; q < q1; ++q) {
-      std::size_t i = static_cast<std::size_t>(q * per_query);
-      for (int h = 0; h < m.n_heads; ++h) {
-        for (int l = 0; l < m.n_levels; ++l) {
-          for (int pt = 0; pt < m.n_points; ++pt, ++i) {
-            if (p[i] < threshold) mask.set_keep(q, h, l, pt, false);
-          }
-        }
-      }
+  const std::span<std::uint8_t> keep = mask.bytes();
+  // probs and the mask share the (q, h, l, p) order.  One pass over the
+  // fixed blocks of points (common/parallel.h): each block writes its own
+  // mask bytes and, when asked for, its pruned count and dropped mass.
+  // The mass is a float sum, so it is serial within the block, and the
+  // partials are added in block order below.  A kept point adds +0.0,
+  // which leaves the sum's bits unchanged (a partial starts at +0.0 and
+  // never becomes -0.0); selecting it with a bit mask keeps the loop free
+  // of unpredictable branches.
+  const auto n = static_cast<std::int64_t>(p.size());
+  const std::size_t blocks = stats != nullptr ? static_cast<std::size_t>(sum_block_count(n)) : 0;
+  std::vector<std::int64_t> pruned_part(blocks);
+  std::vector<double> mass_part(blocks);
+  for_each_sum_block(n, kPapPointWork, [&](std::int64_t b, std::int64_t lo, std::int64_t hi) {
+    const auto begin = static_cast<std::size_t>(lo);
+    const auto end = static_cast<std::size_t>(hi);
+    if (stats == nullptr) {
+      for (std::size_t i = begin; i < end; ++i) keep[i] = p[i] < threshold ? 0 : 1;
+      return;
     }
+    std::int64_t pruned = 0;
+    double mass = 0.0;
+    for (std::size_t i = begin; i < end; ++i) {
+      const auto is_pruned = static_cast<std::uint32_t>(p[i] < threshold);
+      keep[i] = static_cast<std::uint8_t>(1 - is_pruned);
+      pruned += is_pruned;
+      mass += std::bit_cast<float>(std::bit_cast<std::uint32_t>(p[i]) & (0u - is_pruned));
+    }
+    pruned_part[static_cast<std::size_t>(b)] = pruned;
+    mass_part[static_cast<std::size_t>(b)] = mass;
   });
   if (stats != nullptr) {
-    // The pruned count, and the dropped mass: a floating-point sum, so
-    // serial, in (q, h, l, p) order, over the pruned probabilities.  A
-    // kept point adds +0.0, which leaves the sum's bits unchanged (the sum
-    // starts at +0.0 and never becomes -0.0); selecting it with a bit mask
-    // keeps the loop free of unpredictable branches.
     std::int64_t pruned = 0;
     double dropped_mass = 0.0;
-    for (const float prob : p) {
-      const auto is_pruned = static_cast<std::uint32_t>(prob < threshold);
-      pruned += is_pruned;
-      dropped_mass += std::bit_cast<float>(std::bit_cast<std::uint32_t>(prob) & (0u - is_pruned));
+    for (std::size_t b = 0; b < blocks; ++b) {
+      pruned += pruned_part[b];
+      dropped_mass += mass_part[b];
     }
     stats->total_points = mask.total();
     stats->pruned_points = pruned;
-    const double qh = static_cast<double>(n) * m.n_heads;
+    const double qh = static_cast<double>(m.n_in()) * m.n_heads;
     stats->mean_dropped_mass = qh > 0 ? dropped_mass / qh : 0.0;
   }
   return mask;

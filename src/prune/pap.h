@@ -19,7 +19,8 @@ namespace defa::prune {
 struct PapStats {
   std::int64_t total_points = 0;
   std::int64_t pruned_points = 0;
-  /// Attention-probability mass removed by pruning, averaged per (q, h).
+  /// Attention-probability mass removed by pruning, averaged per (q, h):
+  /// a fixed-block sum (common/parallel.h) in (q, h, l, p) order.
   double mean_dropped_mass = 0.0;
 
   [[nodiscard]] double fraction_pruned() const noexcept {

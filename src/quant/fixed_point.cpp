@@ -100,6 +100,14 @@ QTensor::QTensor(const Tensor& t, const QuantSpec& spec) : shape_(t.shape()), sp
   });
 }
 
+QTensor::QTensor(std::vector<std::int64_t> shape, std::vector<std::int16_t> codes,
+                 const QuantSpec& spec)
+    : codes_(std::move(codes)), shape_(std::move(shape)), spec_(spec) {
+  std::int64_t numel = 1;
+  for (const std::int64_t d : shape_) numel *= d;
+  DEFA_CHECK(numel == this->numel(), "QTensor: one code per element");
+}
+
 Tensor QTensor::dequantize() const {
   Tensor t(shape_);
   std::span<float> dst = t.data();
@@ -142,62 +150,45 @@ Tensor fake_quantize(const Tensor& t, int bits) {
   return out;
 }
 
-QTensor quantize_kept_rows(const Tensor& t, int bits, std::span<const std::uint8_t> keep_rows) {
-  DEFA_CHECK(t.rank() == 2, "quantize_kept_rows expects a rank-2 tensor");
+QTensor quantize_rows(const Tensor& t, int bits, std::span<const std::uint8_t> keep_rows) {
+  DEFA_CHECK(t.rank() == 2, "quantize_rows expects a rank-2 tensor");
+  DEFA_CHECK(bits >= 2 && bits <= kMaxBits,
+             "supported widths are 2.." + std::to_string(kMaxBits) + " bits");
   const std::int64_t rows = t.dim(0);
   const std::int64_t cols = t.dim(1);
   DEFA_CHECK(keep_rows.empty() || static_cast<std::int64_t>(keep_rows.size()) == rows,
-             "quantize_kept_rows: one keep flag per row");
-  const QuantSpec first = QuantSpec::fit(t.data(), bits);
+             "quantize_rows: one keep flag per row");
+  const auto kept = [&](std::int64_t r) {
+    return keep_rows.empty() || keep_rows[static_cast<std::size_t>(r)] != 0;
+  };
+  const std::span<const float> src = t.data();
+  const auto row_start = [&](std::int64_t r) { return static_cast<std::size_t>(r * cols); };
 
-  QTensor q;
-  q.shape_ = t.shape();
-  q.codes_.resize(static_cast<std::size_t>(t.numel()));
-  std::span<const float> src = t.data();
-  std::int16_t* codes = q.codes_.data();
-  // The kept rows' largest |code| against `first`; an integer max, so the
-  // chunks merge exactly in any order.
-  std::int32_t max_code = 0;
+  // The fit over the kept rows: a max, so the chunks merge in any order.
+  float max_abs = 0.0f;
   std::mutex mu;
-  parallel_for(0, rows, cols * kQuantizeWork, [&](std::int64_t r0, std::int64_t r1) {
-    std::int32_t chunk_max = 0;
+  parallel_for(0, rows, cols, [&](std::int64_t r0, std::int64_t r1) {
+    float chunk_max = 0.0f;
     for (std::int64_t r = r0; r < r1; ++r) {
-      const auto row = static_cast<std::size_t>(r * cols);
-      if (!keep_rows.empty() && keep_rows[static_cast<std::size_t>(r)] == 0) {
-        std::fill_n(codes + row, cols, std::int16_t{0});
-        continue;
+      if (kept(r)) {
+        chunk_max = std::max(chunk_max, max_abs_range(src, row_start(r), row_start(r + 1)));
       }
-      chunk_max = std::max(chunk_max, quantize_codes(src.data() + row,
-                                                     static_cast<std::size_t>(cols), first,
-                                                     codes + row));
     }
     const std::lock_guard<std::mutex> lock(mu);
-    max_code = std::max(max_code, chunk_max);
+    max_abs = std::max(max_abs, chunk_max);
   });
+  const QuantSpec spec = QuantSpec::from_max_abs(max_abs, bits);
 
-  // The refit sees the dequantized kept values.  |dequantize_value(c)| is
-  // monotone in |c|, so their max-abs is that of the largest code; the
-  // std::max skips the NaN an infinite first scale makes of code 0, as
-  // the fit's NaN-skipping max does.
-  const float max_abs = std::max(0.0f, std::abs(dequantize_value(max_code, first)));
-  q.spec_ = QuantSpec::from_max_abs(max_abs, bits);
-
-  const std::int32_t qmax = first.qmax();
-  std::vector<std::int16_t> lut(static_cast<std::size_t>(2 * qmax + 1));
-  bool identity = true;
-  for (std::int32_t c = -qmax; c <= qmax; ++c) {
-    const std::int32_t mapped = quantize_value(dequantize_value(c, first), q.spec_);
-    lut[static_cast<std::size_t>(c + qmax)] = static_cast<std::int16_t>(mapped);
-    identity = identity && mapped == c;
-  }
-  if (!identity) {
-    for_elements(q.codes_.size(), [&](std::int64_t lo, std::int64_t hi) {
-      for (auto i = static_cast<std::size_t>(lo); i < static_cast<std::size_t>(hi); ++i) {
-        codes[i] = lut[static_cast<std::size_t>(codes[i] + qmax)];
+  std::vector<std::int16_t> codes(static_cast<std::size_t>(t.numel()));
+  parallel_for(0, rows, cols * kQuantizeWork, [&](std::int64_t r0, std::int64_t r1) {
+    for (std::int64_t r = r0; r < r1; ++r) {
+      if (kept(r)) {
+        (void)quantize_codes(src.data() + row_start(r), static_cast<std::size_t>(cols), spec,
+                             codes.data() + row_start(r));
       }
-    });
-  }
-  return q;
+    }
+  });
+  return QTensor(t.shape(), std::move(codes), spec);
 }
 
 }  // namespace defa::quant

@@ -8,11 +8,11 @@
 ///
 /// Every whole-tensor operation here (fit, QTensor construction and
 /// dequantization, fake_quantize) runs as one `parallel_for` over elements
-/// at kQuantizeWork per element, so under parallel_for's work-sized rule
-/// tensors below kMinParallelWork / kQuantizeWork elements stay inline.
-/// Results are bit-identical at any thread count: elements are
-/// independent, and the one reduction (the max-abs in `fit`) is a max,
-/// which is order-free.
+/// at kQuantizeWork per element (quantize_rows: over rows), so under
+/// parallel_for's work-sized rule tensors below
+/// kMinParallelWork / kQuantizeWork elements stay inline.  Results are
+/// bit-identical at any thread count: elements are independent, and the
+/// one reduction (the max-abs of a fit) is a max, which is order-free.
 ///
 /// Two tiers, picked at runtime.  The AVX2 tier (fixed_point_avx2.cpp,
 /// compiled with -mavx2 under the `DEFA_KERNELS_SIMD` CMake option and
@@ -90,6 +90,10 @@ class QTensor {
   QTensor(const Tensor& t, int bits);
   /// Quantize `t` with an externally-chosen spec (e.g. shared across layers).
   QTensor(const Tensor& t, const QuantSpec& spec);
+  /// Adopt codes computed elsewhere (each within +-spec.qmax()), row-major
+  /// in `shape`.
+  QTensor(std::vector<std::int64_t> shape, std::vector<std::int16_t> codes,
+          const QuantSpec& spec);
 
   [[nodiscard]] const QuantSpec& spec() const noexcept { return spec_; }
   [[nodiscard]] const std::vector<std::int64_t>& shape() const noexcept { return shape_; }
@@ -109,9 +113,6 @@ class QTensor {
   [[nodiscard]] Tensor dequantize() const;
 
  private:
-  friend QTensor quantize_kept_rows(const Tensor& t, int bits,
-                                    std::span<const std::uint8_t> keep_rows);
-
   std::vector<std::int16_t> codes_;
   std::vector<std::int64_t> shape_;
   QuantSpec spec_;
@@ -125,16 +126,14 @@ class QTensor {
 void fake_quantize_into(std::span<const float> src, const QuantSpec& spec,
                         std::span<float> dst);
 
-/// The INTn value codes of a projection output `t` (rows x cols) whose
-/// rows with `keep_rows[r] == 0` are pruned (empty: every row kept), in
-/// one quantization.  Codes and scale are equal to those of
-///   QTensor(fake_quantize(t, bits) with the pruned rows zeroed, bits):
-/// the codes against the fit over all of `t` are remapped through a
-/// lookup table onto the scale refitted over the kept rows, a pass that
-/// is skipped when the table is the identity (the usual case: the
-/// maximum sits in a kept row).  Pruned rows get code 0.
-[[nodiscard]] QTensor quantize_kept_rows(const Tensor& t, int bits,
-                                         std::span<const std::uint8_t> keep_rows = {});
+/// The rows of `t` (rows x cols) with `keep_rows[r] != 0` (empty: every
+/// row) quantized to `bits` with the spec QuantSpec::fit returns over
+/// those rows alone.  The other rows get code 0 and are never read, so
+/// their contents (NaN, inf or anything else) cannot change a byte of the
+/// result.  This is the activation operand of the INTn value projection
+/// (nn::int_matmul), whose FWP-pruned rows the hardware never projects.
+[[nodiscard]] QTensor quantize_rows(const Tensor& t, int bits,
+                                    std::span<const std::uint8_t> keep_rows = {});
 
 /// Quantize a fraction in [0, 1) to `bits`-bit fixed point (used for the
 /// BI fractions t0/t1 in the hardware datapath).

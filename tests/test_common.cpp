@@ -5,7 +5,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <thread>
 #include <vector>
@@ -187,6 +190,90 @@ TEST(Metrics, SizeMismatchThrows) {
   const std::vector<float> b{1.0f, 2.0f};
   EXPECT_THROW((void)rmse(a, b), CheckError);
   EXPECT_THROW((void)nrmse(a, b), CheckError);
+}
+
+// ------------------------------------------------------- fixed-block sums
+
+/// nrmse written out: serial double sums within each 4096-element block,
+/// the block partials added in block order.
+double block_nrmse(const std::vector<float>& ref, const std::vector<float>& test) {
+  if (ref.empty()) return 0.0;
+  double err = 0.0, mag = 0.0;
+  for (std::size_t lo = 0; lo < ref.size(); lo += 4096) {
+    double block_err = 0.0, block_mag = 0.0;
+    for (std::size_t i = lo; i < std::min(ref.size(), lo + 4096); ++i) {
+      const double d = static_cast<double>(ref[i]) - static_cast<double>(test[i]);
+      block_err += d * d;
+      block_mag += static_cast<double>(ref[i]) * static_cast<double>(ref[i]);
+    }
+    err += block_err;
+    mag += block_mag;
+  }
+  if (mag == 0.0) return err == 0.0 ? 0.0 : std::numeric_limits<double>::infinity();
+  return std::sqrt(err / mag);
+}
+
+/// Sizes around one block, and one of 40 blocks and a tail, which is
+/// above kMinParallelWork and so fans out over several chunks.
+constexpr std::size_t kBlockSumSizes[] = {0, 1, 4095, 4096, 4097, 40 * 4096 + 123};
+
+TEST(FixedBlockSum, BlocksAre4096Elements) {
+  EXPECT_EQ(kSumBlock, 4096);
+  EXPECT_EQ(sum_block_count(0), 0);
+  EXPECT_EQ(sum_block_count(1), 1);
+  EXPECT_EQ(sum_block_count(4096), 1);
+  EXPECT_EQ(sum_block_count(4097), 2);
+  ASSERT_GT(parallel_chunks(sum_block_count(40 * 4096 + 123), 2 * kSumBlock, 4).count, 1);
+}
+
+TEST(FixedBlockSum, VisitsEveryBlockOnceWithItsBounds) {
+  for (const std::size_t n : kBlockSumSizes) {
+    const auto count = static_cast<std::size_t>(sum_block_count(static_cast<std::int64_t>(n)));
+    std::vector<std::atomic<int>> visits(count);
+    std::vector<std::int64_t> lo(count, -1), hi(count, -1);
+    for_each_sum_block(static_cast<std::int64_t>(n), 2,
+                       [&](std::int64_t b, std::int64_t begin, std::int64_t end) {
+                         visits[static_cast<std::size_t>(b)].fetch_add(1);
+                         lo[static_cast<std::size_t>(b)] = begin;
+                         hi[static_cast<std::size_t>(b)] = end;
+                       });
+    for (std::size_t b = 0; b < count; ++b) {
+      EXPECT_EQ(visits[b].load(), 1) << "n " << n << " block " << b;
+      EXPECT_EQ(lo[b], static_cast<std::int64_t>(b * 4096));
+      EXPECT_EQ(hi[b], static_cast<std::int64_t>(std::min(n, (b + 1) * 4096)));
+    }
+  }
+}
+
+TEST(FixedBlockSum, NrmseMatchesSerialPerBlockLoop) {
+  Rng rng(99);
+  for (const std::size_t n : kBlockSumSizes) {
+    std::vector<float> ref(n), test(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      // Values and errors over many binades, so the order of the adds,
+      // within and across blocks, shows in the bits.
+      ref[i] = static_cast<float>(rng.normal(0.0, 1.0) * std::exp(rng.uniform(-12.0, 12.0)));
+      test[i] = ref[i] + static_cast<float>(rng.normal(0.0, 1.0) * std::exp(rng.uniform(-12.0, 12.0)));
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(nrmse(ref, test)),
+              std::bit_cast<std::uint64_t>(block_nrmse(ref, test)))
+        << "n " << n;
+  }
+}
+
+TEST(FixedBlockSum, NrmsePartialsAddInBlockOrder) {
+  // Block 0's reference partial is 4096; each later block's is 2^-42, a
+  // quarter of 4096's ulp.  Added in block order every small partial
+  // rounds away; any other order lets them gather into a few ulps first.
+  // The error is 1 in block 0 and 0 elsewhere, 4096 in any order.
+  const std::size_t n = 41 * 4096;
+  std::vector<float> ref(n, std::ldexp(1.0f, -27));
+  std::fill_n(ref.begin(), 4096, 1.0f);
+  std::vector<float> test = ref;
+  std::fill_n(test.begin(), 4096, 2.0f);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(nrmse(ref, test)),
+            std::bit_cast<std::uint64_t>(block_nrmse(ref, test)));
+  EXPECT_EQ(nrmse(ref, test), 1.0);
 }
 
 // ------------------------------------------------------------------ TextTable

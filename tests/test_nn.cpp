@@ -4,13 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/simd.h"
 #include "common/stats.h"
 #include "nn/bilinear.h"
 #include "nn/linear.h"
@@ -149,6 +154,321 @@ TEST(Linear, MatmulBitIdenticalToSerialLoop) {
       }
     }
   }
+}
+
+// ------------------------------------------------------- integer projection
+// Every tier of nn::int_matmul against an int64 loop, byte for byte.
+
+/// Codes of a (rows x cols) tensor at width `bits`.
+quant::QTensor codes_of(std::int64_t rows, std::int64_t cols, int bits,
+                        std::vector<std::int16_t> codes, float scale = 0.01f) {
+  quant::QuantSpec spec;
+  spec.bits = bits;
+  spec.scale = scale;
+  return quant::QTensor({rows, cols}, std::move(codes), spec);
+}
+
+/// Uniform random codes in [-qmax, qmax], with scattered zeros.
+std::vector<std::int16_t> random_codes(std::int64_t count, int bits, Rng& rng) {
+  const std::int32_t qmax = (1 << (bits - 1)) - 1;
+  std::vector<std::int16_t> codes(static_cast<std::size_t>(count));
+  for (auto& c : codes) {
+    c = rng.uniform() < 0.1 ? std::int16_t{0}
+                            : static_cast<std::int16_t>(rng.randint(-qmax, qmax));
+  }
+  return codes;
+}
+
+/// acc[t * n + j] = sum_kk a[rows[t]][kk] * b[kk][j] in int64.
+std::vector<std::int64_t> int64_product(const std::vector<std::int16_t>& a,
+                                        const std::vector<std::int64_t>& rows,
+                                        const std::vector<std::int16_t>& b, std::int64_t k,
+                                        std::int64_t n) {
+  std::vector<std::int64_t> acc(rows.size() * static_cast<std::size_t>(n), 0);
+  for (std::size_t t = 0; t < rows.size(); ++t) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      std::int64_t sum = 0;
+      for (std::int64_t kk = 0; kk < k; ++kk) {
+        sum += std::int64_t{a[static_cast<std::size_t>(rows[t] * k + kk)]} *
+               b[static_cast<std::size_t>(kk * n + j)];
+      }
+      acc[t * static_cast<std::size_t>(n) + static_cast<std::size_t>(j)] = sum;
+    }
+  }
+  return acc;
+}
+
+/// int_matmul written with int64 sums and an int64 divide per element.
+quant::QTensor int64_projection(const quant::QTensor& x, const quant::QTensor& w,
+                                const std::vector<std::uint8_t>& keep) {
+  const std::int64_t m = x.shape()[0], k = x.shape()[1], n = w.shape()[1];
+  std::vector<std::int64_t> rows;
+  for (std::int64_t r = 0; r < m; ++r) {
+    if (keep.empty() || keep[static_cast<std::size_t>(r)] != 0) rows.push_back(r);
+  }
+  const std::vector<std::int16_t> a(x.codes().begin(), x.codes().end());
+  const std::vector<std::int16_t> b(w.codes().begin(), w.codes().end());
+  const std::vector<std::int64_t> acc = int64_product(a, rows, b, k, n);
+  std::int64_t max_acc = 0;
+  for (const std::int64_t v : acc) max_acc = std::max(max_acc, v < 0 ? -v : v);
+  quant::QuantSpec spec;
+  spec.bits = x.spec().bits;
+  const std::int64_t qmax = spec.qmax();
+  std::vector<std::int16_t> codes(static_cast<std::size_t>(m * n), 0);
+  if (max_acc > 0) {
+    for (std::size_t t = 0; t < rows.size(); ++t) {
+      for (std::int64_t j = 0; j < n; ++j) {
+        const std::int64_t v = acc[t * static_cast<std::size_t>(n) + static_cast<std::size_t>(j)];
+        const std::int64_t mag = ((v < 0 ? -v : v) * 2 * qmax + max_acc) / (2 * max_acc);
+        codes[static_cast<std::size_t>(rows[t] * n + j)] =
+            static_cast<std::int16_t>(v < 0 ? -mag : mag);
+      }
+    }
+    spec.scale = static_cast<float>(static_cast<double>(max_acc) * x.spec().scale *
+                                    w.spec().scale / static_cast<double>(qmax));
+  }
+  return quant::QTensor({m, n}, std::move(codes), spec);
+}
+
+void expect_same_codes(const quant::QTensor& got, const quant::QTensor& want) {
+  EXPECT_EQ(got.shape(), want.shape());
+  EXPECT_EQ(got.spec().bits, want.spec().bits);
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(got.spec().scale),
+            std::bit_cast<std::uint32_t>(want.spec().scale));
+  ASSERT_EQ(got.numel(), want.numel());
+  EXPECT_EQ(std::memcmp(got.codes().data(), want.codes().data(), got.codes().size_bytes()), 0);
+}
+
+/// Each accumulation tier on (a rows `rows`) x b, widened to int64 and
+/// compared with the int64 loop.  The AVX2 tier covers its whole tiles;
+/// the int32 tiers only run on operands int32_sums_exact admits.
+void expect_tiers_match(const std::vector<std::int16_t>& a, const std::vector<std::int64_t>& rows,
+                        const std::vector<std::int16_t>& b, std::int64_t k, std::int64_t n,
+                        bool int32_route) {
+  SCOPED_TRACE("k " + std::to_string(k) + " n " + std::to_string(n) + " rows " +
+               std::to_string(rows.size()));
+  const std::vector<std::int64_t> want = int64_product(a, rows, b, k, n);
+  std::int64_t want_max = 0;
+  for (const std::int64_t v : want) want_max = std::max(want_max, v < 0 ? -v : v);
+  const auto t1 = static_cast<std::int64_t>(rows.size());
+
+  std::vector<std::int64_t> acc64(want.size(), -1);
+  EXPECT_EQ(nn::detail::int_matmul_int64(a.data(), rows.data(), 0, t1, b.data(), k, n, 0, n,
+                                         acc64.data()),
+            want_max);
+  EXPECT_EQ(acc64, want) << "int64 tier";
+  if (!int32_route) return;
+
+  std::vector<std::int32_t> acc32(want.size(), -1);
+  EXPECT_EQ(nn::detail::int_matmul_int32(a.data(), rows.data(), 0, t1, b.data(), k, n, 0, n,
+                                         acc32.data()),
+            want_max);
+  EXPECT_EQ(std::vector<std::int64_t>(acc32.begin(), acc32.end()), want) << "int32 tier";
+
+  if (!nn::detail::matmul_avx2_compiled() || !simd::cpu_supports(simd::Isa::kAvx2)) return;
+  const std::int64_t tile_rows = t1 - t1 % nn::detail::kIntTileRows;
+  const std::int64_t tile_cols = n - n % nn::detail::kIntTileCols;
+  std::vector<std::int32_t> tiles(want.size(), -1);
+  const std::vector<std::int16_t> panels = nn::detail::pack_int_panels(b.data(), k, n);
+  const std::int32_t got_max = nn::detail::int_matmul_avx2(a.data(), rows.data(), 0, tile_rows,
+                                                           panels.data(), k, n, tiles.data());
+  std::int64_t tile_max = 0;
+  for (std::int64_t t = 0; t < tile_rows; ++t) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      const auto i = static_cast<std::size_t>(t * n + j);
+      if (j < tile_cols) {
+        ASSERT_EQ(tiles[i], want[i]) << "AVX2 tier, row " << t << " col " << j;
+        tile_max = std::max(tile_max, want[i] < 0 ? -want[i] : want[i]);
+      } else {
+        ASSERT_EQ(tiles[i], -1) << "AVX2 tier wrote past its columns";
+      }
+    }
+  }
+  EXPECT_EQ(got_max, tile_max) << "AVX2 tier max";
+}
+
+std::vector<std::int64_t> all_rows(std::int64_t m) {
+  std::vector<std::int64_t> rows(static_cast<std::size_t>(m));
+  for (std::int64_t r = 0; r < m; ++r) rows[static_cast<std::size_t>(r)] = r;
+  return rows;
+}
+
+TEST(IntGemm, Int32RouteBoundIsExact) {
+  EXPECT_TRUE(nn::detail::int32_sums_exact(512, 2047, 2047));    // 2,145,387,008
+  EXPECT_FALSE(nn::detail::int32_sums_exact(513, 2047, 2047));   // 2,149,577,217
+  EXPECT_FALSE(nn::detail::int32_sums_exact(1024, 2047, 2047));  // d_model 1024, INT12
+  EXPECT_TRUE(nn::detail::int32_sums_exact(2, 32767, 32767));    // 2,147,352,578
+  EXPECT_FALSE(nn::detail::int32_sums_exact(3, 32767, 32767));   // INT16 from k = 3 on
+  EXPECT_TRUE(nn::detail::int32_sums_exact(256, 127, 127));      // INT8
+}
+
+TEST(IntGemm, TiersMatchInt64LoopAtTheOverflowEdge) {
+  // d_model 512 at INT12 with every code +-qmax: the largest |acc| is
+  // 512 * 2047^2, one step below 2^31.
+  const std::int64_t k = 512, n = 48, m = 9;
+  const std::int16_t q = 2047;
+  std::vector<std::int16_t> a(static_cast<std::size_t>(m * k), q), b(static_cast<std::size_t>(k * n), q);
+  for (std::int64_t kk = 0; kk < k; ++kk) {
+    a[static_cast<std::size_t>(1 * k + kk)] = -q;                       // row 1 all -qmax
+    a[static_cast<std::size_t>(2 * k + kk)] = kk % 2 == 0 ? q : -q;     // alternating
+  }
+  for (std::int64_t kk = 0; kk < k; ++kk) b[static_cast<std::size_t>(kk * n + 17)] = -q;
+  ASSERT_TRUE(nn::detail::int32_sums_exact(k, q, q));
+  expect_tiers_match(a, all_rows(m), b, k, n, true);
+  const quant::QTensor x = codes_of(m, k, 12, a), w = codes_of(k, n, 12, b);
+  expect_same_codes(nn::int_matmul(x, w), int64_projection(x, w, {}));
+}
+
+TEST(IntGemm, TiersMatchInt64LoopOnRandomShapes) {
+  // Odd k, every row and column tail of the 4 x 16 tile, chunked rows.
+  Rng rng(31);
+  for (const std::int64_t k : {1, 2, 37, 256}) {
+    for (const std::int64_t n : {8, 17, 40, 256}) {
+      const std::int64_t m = 131;
+      const std::vector<std::int16_t> a = random_codes(m * k, 12, rng);
+      const std::vector<std::int16_t> b = random_codes(k * n, 12, rng);
+      std::vector<std::int64_t> rows;
+      for (std::int64_t r = 0; r < m; ++r) {
+        if (r % 3 != 1) rows.push_back(r);
+      }
+      expect_tiers_match(a, rows, b, k, n, true);
+    }
+  }
+}
+
+TEST(IntGemm, Int16TakesTheInt64Route) {
+  Rng rng(37);
+  const std::int64_t m = 21, k = 64, n = 40;
+  std::vector<std::int16_t> a = random_codes(m * k, 16, rng);
+  std::vector<std::int16_t> b = random_codes(k * n, 16, rng);
+  for (std::int64_t kk = 0; kk < k; ++kk) a[static_cast<std::size_t>(kk)] = 32767;  // row 0
+  for (std::int64_t kk = 0; kk < k; ++kk) b[static_cast<std::size_t>(kk * n)] = -32767;
+  ASSERT_FALSE(nn::detail::int32_sums_exact(k, 32767, 32767));
+  expect_tiers_match(a, all_rows(m), b, k, n, false);
+  const quant::QTensor x = codes_of(m, k, 16, a), w = codes_of(k, n, 16, b, 3e-4f);
+  std::vector<std::uint8_t> keep(static_cast<std::size_t>(m), 1);
+  keep[4] = keep[9] = 0;
+  expect_same_codes(nn::int_matmul(x, w, keep), int64_projection(x, w, keep));
+}
+
+TEST(IntGemm, DModel1024AtInt12TakesTheInt64Route) {
+  // 1024 * 2047^2 > 2^31: every code +-qmax would wrap an int32.
+  const std::int64_t m = 6, k = 1024, n = 32;
+  const std::int16_t q = 2047;
+  std::vector<std::int16_t> a(static_cast<std::size_t>(m * k), q), b(static_cast<std::size_t>(k * n), q);
+  for (std::int64_t kk = 0; kk < k; ++kk) a[static_cast<std::size_t>(3 * k + kk)] = -q;
+  ASSERT_FALSE(nn::detail::int32_sums_exact(k, q, q));
+  expect_tiers_match(a, all_rows(m), b, k, n, false);
+  const quant::QTensor x = codes_of(m, k, 12, a), w = codes_of(k, n, 12, b);
+  const quant::QTensor got = nn::int_matmul(x, w);
+  expect_same_codes(got, int64_projection(x, w, {}));
+  EXPECT_EQ(got.code(0), q);
+  EXPECT_EQ(got.code(3 * n), -q);
+}
+
+TEST(IntGemm, ProjectionMatchesInt64LoopWithKeepMasks) {
+  Rng rng(41);
+  for (const int bits : {8, 12}) {
+    for (const std::int64_t k : {37, 256}) {
+      const std::int64_t m = 150, n = 40;
+      std::vector<std::int16_t> a = random_codes(m * k, bits, rng);
+      // Whole zero rows, kept and pruned.
+      for (std::int64_t r = 2; r < m; r += 7) {
+        std::fill_n(a.begin() + r * k, k, std::int16_t{0});
+      }
+      const quant::QTensor x = codes_of(m, k, bits, a, 0.02f);
+      const quant::QTensor w = codes_of(k, n, bits, random_codes(k * n, bits, rng), 0.003f);
+      std::vector<std::uint8_t> keep(static_cast<std::size_t>(m));
+      for (auto& f : keep) f = rng.uniform() < 0.5 ? 1 : 0;
+      expect_same_codes(nn::int_matmul(x, w), int64_projection(x, w, {}));
+      expect_same_codes(nn::int_matmul(x, w, keep), int64_projection(x, w, keep));
+    }
+  }
+}
+
+TEST(IntGemm, ZeroRowsAndAnEmptyKeepMaskGiveUnitScale) {
+  Rng rng(43);
+  const std::int64_t m = 12, k = 37, n = 17;
+  const quant::QTensor w = codes_of(k, n, 12, random_codes(k * n, 12, rng));
+  const quant::QTensor zeros = codes_of(m, k, 12, std::vector<std::int16_t>(m * k, 0));
+  const quant::QTensor all_zero = nn::int_matmul(zeros, w);
+  EXPECT_EQ(all_zero.spec().scale, 1.0f);
+  for (const std::int16_t c : all_zero.codes()) ASSERT_EQ(c, 0);
+
+  const quant::QTensor x = codes_of(m, k, 12, random_codes(m * k, 12, rng));
+  const quant::QTensor none = nn::int_matmul(x, w, std::vector<std::uint8_t>(m, 0));
+  EXPECT_EQ(none.shape(), (std::vector<std::int64_t>{m, n}));
+  EXPECT_EQ(none.spec().scale, 1.0f);
+  for (const std::int16_t c : none.codes()) ASSERT_EQ(c, 0);
+  expect_same_codes(none, int64_projection(x, w, std::vector<std::uint8_t>(m, 0)));
+}
+
+/// Requantizer and requantize_avx2 against the int64 divide on `accs`,
+/// all within +-max_acc.
+void expect_requantizers_match(const std::vector<std::int64_t>& accs, std::int64_t max_acc,
+                               std::int32_t qmax) {
+  const nn::detail::Requantizer requantize(max_acc, qmax);
+  std::vector<std::int16_t> want;
+  for (const std::int64_t acc : accs) {
+    const std::int64_t mag = ((acc < 0 ? -acc : acc) * 2 * qmax + max_acc) / (2 * max_acc);
+    want.push_back(static_cast<std::int16_t>(acc < 0 ? -mag : mag));
+    ASSERT_EQ(requantize(acc), want.back())
+        << "acc " << acc << " max_acc " << max_acc << " qmax " << qmax;
+  }
+  // The AVX2 form, on the int32 route's accumulators.
+  if (max_acc > std::numeric_limits<std::int32_t>::max() || !nn::detail::matmul_avx2_compiled() ||
+      !simd::cpu_supports(simd::Isa::kAvx2)) {
+    return;
+  }
+  const std::vector<std::int32_t> acc32(accs.begin(), accs.end());
+  const std::size_t vec = acc32.size() - acc32.size() % 8;
+  std::vector<std::int16_t> got(vec);
+  nn::detail::requantize_avx2(acc32.data(), static_cast<std::int64_t>(vec),
+                              static_cast<std::int32_t>(max_acc), qmax, got.data());
+  for (std::size_t i = 0; i < vec; ++i) {
+    ASSERT_EQ(got[i], want[i]) << "AVX2: acc " << acc32[i] << " max_acc " << max_acc << " qmax "
+                               << qmax;
+  }
+}
+
+TEST(IntGemm, RequantizersEqualTheInt64Divide) {
+  Rng rng(47);
+  for (const std::int32_t qmax : {1, 127, 2047, 32767}) {
+    for (const std::int64_t max_acc :
+         {std::int64_t{1}, std::int64_t{2}, std::int64_t{3}, std::int64_t{7}, std::int64_t{4096},
+          std::int64_t{2147483647}, std::int64_t{512} * 2047 * 2047,
+          std::int64_t{1024} * 32767 * 32767}) {
+      std::vector<std::int64_t> accs{0, 1, -1, max_acc, -max_acc, max_acc / 2, -(max_acc / 2),
+                                     max_acc - 1, -(max_acc - 1)};
+      // Every exact tie a * qmax / max_acc = c + 1/2 that fits, and its
+      // neighbours.
+      for (std::int64_t c = 0; c < 4; ++c) {
+        const std::int64_t twice = (2 * c + 1) * max_acc;  // 2 a qmax at the tie
+        if (twice % (2 * qmax) == 0 && twice / (2 * qmax) <= max_acc) {
+          const std::int64_t a = twice / (2 * qmax);
+          for (const std::int64_t v : {a - 1, a, a + 1}) {
+            if (v <= max_acc) {
+              accs.push_back(v);
+              accs.push_back(-v);
+            }
+          }
+        }
+      }
+      for (int i = 0; i < 2000; ++i) accs.push_back(rng.randint(-max_acc, max_acc));
+      expect_requantizers_match(accs, max_acc, qmax);
+    }
+    // Every max_acc up to 4096 at the tie acc = max_acc / 2, where the
+    // quotient is exact and a double estimate of it can come out one low
+    // (e.g. qmax 127, max_acc 1790, acc 895), and beside it.
+    for (std::int64_t max_acc = 1; max_acc <= 4096; ++max_acc) {
+      const std::int64_t half = max_acc / 2;
+      expect_requantizers_match({half, -half, half + 1, -(half + 1), max_acc, -max_acc, 0, 1},
+                                max_acc, qmax);
+    }
+  }
+  // A tie rounds away from zero: 1 * 1 / 2 = 0.5.
+  EXPECT_EQ(nn::detail::Requantizer(2, 1)(1), 1);
+  EXPECT_EQ(nn::detail::Requantizer(2, 1)(-1), -1);
 }
 
 // -------------------------------------------------------------------- softmax
@@ -429,6 +749,32 @@ TEST(Norm, ZeroRowStaysFinite) {
   Tensor x({2, 4});
   nn::rms_norm_rows(x);
   for (float v : x.data()) EXPECT_TRUE(std::isfinite(v));
+}
+
+TEST(Norm, ResidualNormMatchesAddThenNorm) {
+  // 300 x 256 fans out over row chunks; rows of NaN and +-inf in either
+  // operand.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Rng rng(8);
+  for (const auto& [rows, cols] : {std::pair<std::int64_t, std::int64_t>{3, 5}, {300, 256}}) {
+    Tensor x = Tensor::randn({rows, cols}, rng, 0.5f, 3.0f);
+    Tensor out = Tensor::randn({rows, cols}, rng, 0.0f, 2.0f);
+    for (float& v : x.row(0)) v = nan;
+    for (float& v : out.row(1)) v = inf;
+    out(2, 1) = -inf;
+    if (rows > 4) {
+      for (float& v : x.row(3)) v = -inf;
+      for (float& v : out.row(4)) v = 0.0f;
+      for (float& v : x.row(4)) v = -0.0f;
+    }
+    Tensor want = x;
+    want.add_(out);
+    nn::rms_norm_rows(want);
+    nn::residual_rms_norm_rows(x, out);
+    EXPECT_EQ(std::memcmp(x.data().data(), want.data().data(), want.data().size_bytes()), 0)
+        << rows << " x " << cols;
+  }
 }
 
 }  // namespace

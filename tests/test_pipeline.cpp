@@ -8,11 +8,13 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/pipeline.h"
+#include "nn/linear.h"
 #include "quant/fixed_point.h"
 
 namespace defa::core {
@@ -170,9 +172,9 @@ TEST(PrunedFlops, ScalesLinearly) {
 }
 
 // ------------------------------------------------------------------ goldens
-// Results of the serial INTn quantization and range-narrowing stage,
-// pinned so the parallel stage is held to them bit for bit on every
-// backend and at any thread count.
+// Results of the encoder, INTn projection and fixed-block nrmse sums
+// included, pinned so every parallel stage is held to them bit for bit
+// on every backend and at any thread count.
 
 /// 4-level pyramid halving with ceil from an h x w base, 2 blocks.
 ModelConfig pyramid_model(int h, int w) {
@@ -229,24 +231,73 @@ TEST(PipelineGolden, SweepShapeInt12) {
   cfg.ranges = RangeSpec::level_wise_default(m.n_levels);
   cfg.quantize = true;
   cfg.bits = 12;
-  expect_golden(m, 20241017, cfg, 0x3fcae09f93b0264fULL,
-                {{80898, 4484, 24418, 0x3fbf9ba920e69de6ULL},
-                 {81643, 1829, 24583, 0x3fd25f55d646318aULL}});
+  expect_golden(m, 20241017, cfg, 0x3fcae097b793c081ULL,
+                {{80898, 4484, 24418, 0x3fbf9ba97b2c4c09ULL},
+                 {81643, 1829, 24583, 0x3fd25f4daad7c8e4ULL}});
 }
 
 TEST(PipelineGolden, DefaDefault16x20) {
   const ModelConfig m = pyramid_model(16, 20);
-  expect_golden(m, 3, PruneConfig::defa_default(m), 0x3fc3f004f9364aecULL,
-                {{7994, 426, 1481, 0x3fb8c67cb752197fULL},
-                 {8058, 208, 1452, 0x3fcff9fc0af4989eULL}});
+  expect_golden(m, 3, PruneConfig::defa_default(m), 0x3fc3f0054882ea48ULL,
+                {{7994, 426, 1481, 0x3fb8c67cb9cfb239ULL},
+                 {8058, 208, 1452, 0x3fcff9fc757e5b10ULL}});
 }
 
 TEST(PipelineGolden, QuantOnlyInt8) {
   // Quantization without narrowing: the offsets move, nothing is clamped.
   const ModelConfig m = pyramid_model(16, 20);
-  expect_golden(m, 5, PruneConfig::only_quant(8), 0x3fb5356985fdedd3ULL,
-                {{54528, 426, 0, 0x3fb8455f380cd099ULL},
-                 {54528, 426, 0, 0x3fb895eee53be332ULL}});
+  expect_golden(m, 5, PruneConfig::only_quant(8), 0x3fb53569fb5918c8ULL,
+                {{54528, 426, 0, 0x3fb8455ea99366d7ULL},
+                 {54528, 426, 0, 0x3fb895f02309c60cULL}});
+}
+
+// ------------------------------------------------ INTn value projection
+
+TEST(ValueProjection, PrunedRowContentsLeaveCodesByteIdentical) {
+  // A pruned row is never read: filling it with NaN or 1e30 gives the
+  // codes and scale of the same input with that row zeroed.
+  const ModelConfig m = ModelConfig::small();
+  workload::SceneParams p;
+  p.seed = m.seed;
+  const workload::SceneWorkload wl(m, p);
+  Tensor zeroed = wl.fmap();
+  std::vector<std::uint8_t> keep(static_cast<std::size_t>(m.n_in()), 1);
+  for (std::size_t r = 5; r < keep.size(); r += 3) keep[r] = 0;
+  const std::int64_t pruned_row = 8;
+  ASSERT_EQ(keep[pruned_row], 0);
+  for (float& v : zeroed.row(pruned_row)) v = 0.0f;
+  for (const int bits : {8, 12}) {
+    const quant::QTensor want = project_value_codes(m, 1, zeroed, bits, keep);
+    for (const float fill : {std::numeric_limits<float>::quiet_NaN(), 1e30f}) {
+      SCOPED_TRACE("bits " + std::to_string(bits) + " fill " + std::to_string(fill));
+      Tensor filled = zeroed;
+      for (float& v : filled.row(pruned_row)) v = fill;
+      const quant::QTensor got = project_value_codes(m, 1, filled, bits, keep);
+      EXPECT_EQ(got.shape(), want.shape());
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(got.spec().scale),
+                std::bit_cast<std::uint32_t>(want.spec().scale));
+      EXPECT_EQ(std::memcmp(got.codes().data(), want.codes().data(), want.codes().size_bytes()),
+                0);
+      for (std::int64_t j = 0; j < m.d_model; ++j) {
+        ASSERT_EQ(got.code(pruned_row * m.d_model + j), 0);
+      }
+    }
+  }
+}
+
+TEST(ValueProjection, EveryRowKeptIsTheIntegerProductOfWholeTensors) {
+  // With no keep mask the activation codes are QTensor(x, bits), fitted
+  // over every row, times the cached weight codes.
+  const ModelConfig m = ModelConfig::tiny();
+  workload::SceneParams p;
+  p.seed = m.seed;
+  const workload::SceneWorkload wl(m, p);
+  const quant::QTensor all = project_value_codes(m, 0, wl.fmap(), 12);
+  const quant::QTensor want = nn::int_matmul(quant::QTensor(wl.fmap(), 12),
+                                             *layer_value_codes(m, 0, 12));
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(all.spec().scale),
+            std::bit_cast<std::uint32_t>(want.spec().scale));
+  EXPECT_EQ(std::memcmp(all.codes().data(), want.codes().data(), want.codes().size_bytes()), 0);
 }
 
 // ---------------------------------------------------- value-weight cache
@@ -288,17 +339,21 @@ TEST(ValueWeightCache, MatchesFreshDrawsAndSharesOneTensor) {
   }
 }
 
-TEST(ValueWeightCache, CachesQuantizedWeightsBesideTheFp32Ones) {
+TEST(ValueWeightCache, CachesQuantizedCodesBesideTheFp32Weights) {
   const ModelConfig m = weight_model(0x9E1A, 256);
   for (const int layer : {0, 1}) {
     const std::shared_ptr<const Tensor> fp32 = layer_value_weights(m, layer);
     for (const int bits : {8, 12, 16}) {
       SCOPED_TRACE("layer " + std::to_string(layer) + " bits " + std::to_string(bits));
-      const std::shared_ptr<const Tensor> q = layer_value_weights(m, layer, bits);
-      EXPECT_TRUE(bytes_equal(*q, quant::fake_quantize(*layer_value_weights(m, layer), bits)));
-      EXPECT_NE(q.get(), fp32.get());
-      EXPECT_FALSE(bytes_equal(*q, *fp32));
-      EXPECT_EQ(layer_value_weights(m, layer, bits).get(), q.get());
+      const std::shared_ptr<const quant::QTensor> q = layer_value_codes(m, layer, bits);
+      const quant::QTensor want(*layer_value_weights(m, layer), bits);
+      EXPECT_EQ(q->shape(), want.shape());
+      EXPECT_EQ(q->spec().bits, bits);
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(q->spec().scale),
+                std::bit_cast<std::uint32_t>(want.spec().scale));
+      EXPECT_EQ(std::memcmp(q->codes().data(), want.codes().data(), want.codes().size_bytes()),
+                0);
+      EXPECT_EQ(layer_value_codes(m, layer, bits).get(), q.get());
     }
     EXPECT_EQ(layer_value_weights(m, layer).get(), fp32.get());
   }

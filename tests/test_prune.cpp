@@ -8,9 +8,11 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/parallel.h"
+#include "common/rng.h"
 #include "nn/bilinear.h"
 #include "nn/softmax.h"
 #include "prune/fwp.h"
@@ -217,11 +219,15 @@ TEST(Fwp, FrequencyMatchesBilinearNeighborCount) {
 // ------------------------------------- parallel PAP and frequency counting
 
 /// Serial pap_prune, written independently of the library's chunked loop.
+/// The dropped mass is a fixed-block sum: serial within each block of 4096
+/// points in (q, h, l, p) order, the block partials added in block order.
 PointMask serial_pap(const ModelConfig& m, const Tensor& probs, double tau,
                      std::int64_t& pruned, double& dropped_mass) {
   PointMask mask(m);
   pruned = 0;
   dropped_mass = 0.0;
+  double block_mass = 0.0;
+  std::int64_t point = 0;
   for (std::int64_t q = 0; q < m.n_in(); ++q) {
     for (int h = 0; h < m.n_heads; ++h) {
       for (int l = 0; l < m.n_levels; ++l) {
@@ -230,12 +236,17 @@ PointMask serial_pap(const ModelConfig& m, const Tensor& probs, double tau,
           if (prob < static_cast<float>(tau)) {
             mask.set_keep(q, h, l, p, false);
             ++pruned;
-            dropped_mass += prob;
+            block_mass += prob;
+          }
+          if (++point % 4096 == 0) {
+            dropped_mass += block_mass;
+            block_mass = 0.0;
           }
         }
       }
     }
   }
+  if (point % 4096 != 0) dropped_mass += block_mass;
   return mask;
 }
 
@@ -308,6 +319,49 @@ TEST_P(PruneMatchesSerial, MaskCountsAndMassBitIdentical) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Taus, PruneMatchesSerial, ::testing::Values(0.005, 0.031, 0.08));
+
+/// A one-head, one-level, one-point model whose single level has h x w
+/// pixels: h * w sampling points.
+ModelConfig point_model(int h, int w) {
+  ModelConfig m;
+  m.name = "points" + std::to_string(h * w);
+  m.n_heads = 1;
+  m.n_levels = 1;
+  m.n_points = 1;
+  m.n_layers = 1;
+  m.levels = {LevelShape{h, w}};
+  m.validate();
+  return m;
+}
+
+TEST(FixedBlockSum, PapDroppedMassMatchesSerialPerBlockLoop) {
+  // 1, 4095, 4096 and 4097 points, then the small preset's 217,600
+  // points, which fan out over several chunks of blocks.
+  std::vector<ModelConfig> models{point_model(1, 1), point_model(63, 65), point_model(64, 64),
+                                  point_model(1, 4097), ModelConfig::small()};
+  Rng rng(71);
+  for (const ModelConfig& m : models) {
+    Tensor probs({m.n_in(), m.n_heads, m.points_per_head()});
+    // Probabilities over many binades, so the order of the adds shows.
+    for (float& p : probs.data()) p = static_cast<float>(0.1 * std::exp(rng.uniform(-20.0, 0.0)));
+    std::int64_t want_pruned = 0;
+    double want_mass = 0.0;
+    const PointMask want = serial_pap(m, probs, 0.05, want_pruned, want_mass);
+    PapStats stats;
+    const PointMask got = pap_prune(m, probs, 0.05, &stats);
+    SCOPED_TRACE(m.name + ": " + std::to_string(got.total()) + " points");
+    EXPECT_TRUE(std::equal(got.bytes().begin(), got.bytes().end(), want.bytes().begin(),
+                           want.bytes().end()));
+    EXPECT_EQ(stats.pruned_points, want_pruned);
+    const double qh = static_cast<double>(m.n_in()) * m.n_heads;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(stats.mean_dropped_mass),
+              std::bit_cast<std::uint64_t>(want_mass / qh));
+    // Without stats the mask is the same.
+    const PointMask bare = pap_prune(m, probs, 0.05);
+    EXPECT_TRUE(std::equal(bare.bytes().begin(), bare.bytes().end(), want.bytes().begin(),
+                           want.bytes().end()));
+  }
+}
 
 // ----------------------------------------------------------- range narrowing
 TEST(Range, NoClampWhenInside) {

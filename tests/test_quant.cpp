@@ -282,31 +282,43 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(kGrain - 1, kGrain, 4 * kGrain + 3),
                        ::testing::Values(8, 12, 16)));
 
-// ------------------------------------ the projection -> MSGS value handoff
+// --------------------------- the activation operand of the INTn projection
 
-/// The path quantize_kept_rows replaces: fake-quantize the projection,
-/// zero the pruned rows, quantize the result again.
-QTensor two_step_codes(const Tensor& v, int bits, const std::vector<std::uint8_t>& keep) {
-  Tensor fq = fake_quantize(v, bits);
-  for (std::int64_t r = 0; r < v.dim(0); ++r) {
-    if (!keep.empty() && keep[static_cast<std::size_t>(r)] == 0) {
-      for (float& x : fq.row(r)) x = 0.0f;
+/// quantize_rows written out: the spec fitted over the kept rows'
+/// elements alone, the scalar chain on them, 0 elsewhere.
+QTensor serial_kept_rows(const Tensor& t, int bits, const std::vector<std::uint8_t>& keep) {
+  const std::int64_t rows = t.dim(0), cols = t.dim(1);
+  const auto kept = [&](std::int64_t r) {
+    return keep.empty() || keep[static_cast<std::size_t>(r)] != 0;
+  };
+  std::vector<float> kept_values;
+  for (std::int64_t r = 0; r < rows; ++r) {
+    if (kept(r)) kept_values.insert(kept_values.end(), t.row(r).begin(), t.row(r).end());
+  }
+  const QuantSpec spec = QuantSpec::fit(kept_values, bits);
+  std::vector<std::int16_t> codes(static_cast<std::size_t>(t.numel()), 0);
+  for (std::int64_t r = 0; r < rows; ++r) {
+    if (!kept(r)) continue;
+    for (std::int64_t c = 0; c < cols; ++c) {
+      codes[static_cast<std::size_t>(r * cols + c)] =
+          static_cast<std::int16_t>(quantize_value(t(r, c), spec));
     }
   }
-  return QTensor(fq, bits);
+  return QTensor(t.shape(), std::move(codes), spec);
 }
 
-/// quantize_kept_rows equals the two-step path: same shape, same scale
-/// bits, memcmp-equal codes.
-void expect_handoff_matches(const Tensor& v, int bits, const std::vector<std::uint8_t>& keep) {
-  const QTensor want = two_step_codes(v, bits, keep);
-  const QTensor got = quantize_kept_rows(v, bits, keep);
+/// Same shape, same scale bits, memcmp-equal codes.
+void expect_same_codes(const QTensor& got, const QTensor& want) {
   EXPECT_EQ(got.shape(), want.shape());
   EXPECT_EQ(got.spec().bits, want.spec().bits);
   EXPECT_EQ(std::bit_cast<std::uint32_t>(got.spec().scale),
             std::bit_cast<std::uint32_t>(want.spec().scale));
   ASSERT_EQ(got.numel(), want.numel());
   EXPECT_EQ(std::memcmp(got.codes().data(), want.codes().data(), got.codes().size_bytes()), 0);
+}
+
+void expect_rows_match(const Tensor& t, int bits, const std::vector<std::uint8_t>& keep) {
+  expect_same_codes(quantize_rows(t, bits, keep), serial_kept_rows(t, bits, keep));
 }
 
 /// Every third row pruned.
@@ -316,85 +328,61 @@ std::vector<std::uint8_t> every_third_pruned(std::int64_t rows) {
   return keep;
 }
 
-class ValueHandoff : public ::testing::TestWithParam<int> {};
+class QuantizeRows : public ::testing::TestWithParam<int> {};
 
 // 300 x 256 elements fan out over several chunks; 7 x 16 stays inline.
-TEST_P(ValueHandoff, RandomTensors) {
+TEST_P(QuantizeRows, MatchesTheFitOverTheKeptRows) {
   const int bits = GetParam();
   for (const auto& [rows, cols] : {std::pair<std::int64_t, std::int64_t>{7, 16}, {300, 256}}) {
     Rng rng(static_cast<std::uint64_t>(rows * 131 + bits));
-    const Tensor v = Tensor::randn({rows, cols}, rng, 0.0f, 3.0f);
-    expect_handoff_matches(v, bits, {});
-    expect_handoff_matches(v, bits, every_third_pruned(rows));
+    Tensor t = Tensor::randn({rows, cols}, rng, 0.0f, 3.0f);
+    t(0, 1) = -40.0f;  // the maximum sits in row 0, pruned below
+    expect_rows_match(t, bits, {});
+    expect_rows_match(t, bits, every_third_pruned(rows));
     std::vector<std::uint8_t> random_keep(static_cast<std::size_t>(rows));
     for (auto& k : random_keep) k = rng.uniform() < 0.6 ? 1 : 0;
-    expect_handoff_matches(v, bits, random_keep);
+    expect_rows_match(t, bits, random_keep);
   }
 }
 
-TEST_P(ValueHandoff, AllZeroRows) {
-  const int bits = GetParam();
-  Rng rng(5);
-  Tensor v = Tensor::randn({300, 256}, rng);
-  for (std::int64_t r = 1; r < 300; r += 4) {
-    for (float& x : v.row(r)) x = 0.0f;
-  }
-  expect_handoff_matches(v, bits, {});
-  expect_handoff_matches(v, bits, every_third_pruned(300));
-  expect_handoff_matches(Tensor::zeros({300, 256}), bits, every_third_pruned(300));
-}
-
-TEST_P(ValueHandoff, PrunedRowHoldingTheMaximumRemapsCodes) {
-  const int bits = GetParam();
-  Rng rng(9);
-  Tensor v = Tensor::randn({300, 256}, rng);
-  v(150, 7) = -40.0f;  // row 150 is pruned below
-  const std::vector<std::uint8_t> keep = every_third_pruned(300);
-  ASSERT_EQ(keep[150], 0);
-  // The refit over the kept rows moves the scale, so the codes against
-  // the first fit must be remapped.
-  const QTensor got = quantize_kept_rows(v, bits, keep);
-  EXPECT_NE(got.spec().scale, QuantSpec::fit(v.data(), bits).scale);
-  expect_handoff_matches(v, bits, keep);
-}
-
-TEST_P(ValueHandoff, EveryRowPruned) {
+TEST_P(QuantizeRows, EveryRowPrunedGivesUnitScaleAndZeroCodes) {
   const int bits = GetParam();
   Rng rng(11);
-  const Tensor v = Tensor::randn({300, 256}, rng);
-  const std::vector<std::uint8_t> none(300, 0);
-  expect_handoff_matches(v, bits, none);
-  const QTensor got = quantize_kept_rows(v, bits, none);
+  const Tensor t = Tensor::randn({300, 256}, rng);
+  const QTensor got = quantize_rows(t, bits, std::vector<std::uint8_t>(300, 0));
   EXPECT_EQ(got.spec().scale, 1.0f);
   for (const std::int16_t c : got.codes()) ASSERT_EQ(c, 0);
 }
 
-TEST_P(ValueHandoff, NanAndInfEntries) {
+TEST_P(QuantizeRows, PrunedRowContentsAreNeverRead) {
   const int bits = GetParam();
-  const float inf = std::numeric_limits<float>::infinity();
-  const float nan = std::numeric_limits<float>::quiet_NaN();
   const std::vector<std::uint8_t> keep = every_third_pruned(300);
   Rng rng(13);
-  const Tensor base = Tensor::randn({300, 256}, rng);
-
-  Tensor with_nan = base;  // NaN in kept and pruned rows
-  with_nan(1, 3) = nan;
-  with_nan(3, 5) = nan;
-  expect_handoff_matches(with_nan, bits, {});
-  expect_handoff_matches(with_nan, bits, keep);
-
-  Tensor inf_pruned = base;  // +inf only in a pruned row
-  inf_pruned(6, 0) = inf;
-  expect_handoff_matches(inf_pruned, bits, keep);
-
-  Tensor inf_kept = base;  // -inf in a kept row, NaN beside it
-  inf_kept(2, 9) = -inf;
-  inf_kept(4, 1) = nan;
-  expect_handoff_matches(inf_kept, bits, {});
-  expect_handoff_matches(inf_kept, bits, keep);
+  Tensor zeroed = Tensor::randn({300, 256}, rng);
+  for (float& x : zeroed.row(6)) x = 0.0f;
+  const QTensor want = quantize_rows(zeroed, bits, keep);
+  for (const float fill : {std::numeric_limits<float>::quiet_NaN(),
+                           std::numeric_limits<float>::infinity(), 1e30f}) {
+    Tensor filled = zeroed;
+    for (float& x : filled.row(6)) x = fill;
+    expect_same_codes(quantize_rows(filled, bits, keep), want);
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(Widths, ValueHandoff, ::testing::Values(8, 12, 16));
+TEST_P(QuantizeRows, NanAndInfInKeptRowsFollowTheFit) {
+  const int bits = GetParam();
+  Rng rng(17);
+  const Tensor base = Tensor::randn({300, 256}, rng);
+  Tensor with_nan = base;
+  with_nan(1, 3) = std::numeric_limits<float>::quiet_NaN();
+  expect_rows_match(with_nan, bits, {});
+  expect_rows_match(with_nan, bits, every_third_pruned(300));
+  Tensor with_inf = base;
+  with_inf(2, 9) = -std::numeric_limits<float>::infinity();
+  expect_rows_match(with_inf, bits, every_third_pruned(300));
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, QuantizeRows, ::testing::Values(8, 12, 16));
 
 // ------------------------------------------ the AVX2 tier vs the scalar chain
 // Every tier must equal quantize_value / dequantize_value bit for bit.
@@ -522,10 +510,9 @@ TEST_P(QuantTiers, PublicEntryPointsMatchScalarChain) {
   }
 }
 
-TEST_P(QuantTiers, KeptRowsWithEdgeValuesMatchTwoStepPath) {
-  // quantize_kept_rows' vector max-code reduction and int16 pack, on rows
-  // whose width leaves a scalar tail, with edge values in kept and pruned
-  // rows.
+TEST_P(QuantTiers, KeptRowsWithEdgeValuesMatchScalarChain) {
+  // quantize_rows' per-row fit and vector pack, on rows whose width leaves
+  // a scalar tail, with edge values in kept and pruned rows.
   const int bits = GetParam();
   QuantSpec unit;
   unit.bits = bits;
@@ -536,8 +523,8 @@ TEST_P(QuantTiers, KeptRowsWithEdgeValuesMatchTwoStepPath) {
   Tensor v({300, 37});
   ASSERT_GE(static_cast<std::int64_t>(values.size()), v.numel());
   std::copy_n(values.begin(), v.numel(), v.data().begin());
-  expect_handoff_matches(v, bits, {});
-  expect_handoff_matches(v, bits, every_third_pruned(300));
+  expect_rows_match(v, bits, {});
+  expect_rows_match(v, bits, every_third_pruned(300));
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, QuantTiers, ::testing::Values(2, 8, 12, 16));
