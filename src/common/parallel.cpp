@@ -1,6 +1,7 @@
 #include "common/parallel.h"
 
 #include <algorithm>
+#include <numeric>
 #include <thread>
 
 #if defined(__linux__)
@@ -42,20 +43,26 @@ ChunkPlan parallel_chunks(std::int64_t n, std::int64_t work_per_item, int concur
   return {size, (n + size - 1) / size};
 }
 
+void run_chunks(const ChunkPlan& plan, std::int64_t n,
+                const std::function<void(std::int64_t, std::int64_t, std::int64_t)>& chunk_fn) {
+  if (plan.count == 0) return;
+  if (plan.count == 1) {
+    chunk_fn(0, 0, n);
+    return;
+  }
+  ThreadPool::global().run_indexed(plan.count, parallel_concurrency(), [&](std::int64_t c) {
+    const std::int64_t lo = c * plan.size;
+    chunk_fn(c, lo, std::min(lo + plan.size, n));
+  });
+}
+
 void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t work_per_item,
                   const std::function<void(std::int64_t, std::int64_t)>& chunk_fn) {
   DEFA_CHECK(begin <= end, "parallel_for: inverted range");
-  const int concurrency = parallel_concurrency();
-  const ChunkPlan plan = parallel_chunks(end - begin, work_per_item, concurrency);
-  if (plan.count == 0) return;
-  if (plan.count == 1) {
-    chunk_fn(begin, end);
-    return;
-  }
-  ThreadPool::global().run_indexed(plan.count, concurrency, [&](std::int64_t c) {
-    const std::int64_t lo = begin + c * plan.size;
-    chunk_fn(lo, std::min(lo + plan.size, end));
-  });
+  run_chunks(parallel_chunks(end - begin, work_per_item), end - begin,
+             [&](std::int64_t, std::int64_t lo, std::int64_t hi) {
+               chunk_fn(begin + lo, begin + hi);
+             });
 }
 
 void for_each_sum_block(std::int64_t n, std::int64_t work_per_element,
@@ -68,6 +75,21 @@ void for_each_sum_block(std::int64_t n, std::int64_t work_per_element,
                    block_fn(b, b * kSumBlock, std::min(n, (b + 1) * kSumBlock));
                  }
                });
+}
+
+std::int64_t sum_block_items(std::int64_t elems_per_item) {
+  DEFA_CHECK(elems_per_item > 0, "sum_block_items: items must hold elements");
+  return std::lcm(kSumBlock, elems_per_item) / elems_per_item;
+}
+
+ChunkPlan block_aligned_chunks(std::int64_t n, std::int64_t work_per_item,
+                               std::int64_t elems_per_item, int concurrency) {
+  const ChunkPlan plan = parallel_chunks(n, work_per_item, concurrency);
+  if (plan.count <= 1) return plan;
+  const std::int64_t align = sum_block_items(elems_per_item);
+  const std::int64_t size = (plan.size + align - 1) / align * align;
+  if (size >= n) return {n, 1};
+  return {size, (n + size - 1) / size};
 }
 
 }  // namespace defa

@@ -75,4 +75,26 @@ void for_each_sum_block(std::int64_t n, std::int64_t work_per_element,
                         const std::function<void(std::int64_t, std::int64_t, std::int64_t)>&
                             block_fn);
 
+/// The fewest items that end on a kSumBlock boundary when item i holds
+/// elements [i * elems_per_item, (i + 1) * elems_per_item) of a fixed-block
+/// sum: lcm(kSumBlock, elems_per_item) / elems_per_item (16 rows of 256,
+/// 32 queries of 128 points).
+[[nodiscard]] std::int64_t sum_block_items(std::int64_t elems_per_item);
+
+/// parallel_chunks(n, work_per_item, concurrency) with the chunk size
+/// rounded up to a multiple of sum_block_items(elems_per_item), so every
+/// chunk boundary is a kSumBlock boundary of the items' elements.  A chunk
+/// then holds whole blocks and can add its blocks' partials serially
+/// across its items, and the sum's bits still do not depend on the
+/// chunking.
+[[nodiscard]] ChunkPlan block_aligned_chunks(std::int64_t n, std::int64_t work_per_item,
+                                             std::int64_t elems_per_item,
+                                             int concurrency = parallel_concurrency());
+
+/// Invoke `chunk_fn(chunk, begin, end)` for every chunk of `plan` over
+/// [0, n), on the global pool (inline when plan.count == 1).  `chunk`
+/// indexes per-chunk state the caller merges afterwards.
+void run_chunks(const ChunkPlan& plan, std::int64_t n,
+                const std::function<void(std::int64_t, std::int64_t, std::int64_t)>& chunk_fn);
+
 }  // namespace defa

@@ -37,31 +37,38 @@ double rmse(std::span<const float> a, std::span<const float> b) {
   return std::sqrt(acc / static_cast<double>(a.size()));
 }
 
+void ErrorSums::add(std::span<const float> reference, std::span<const float> test) noexcept {
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    const double d = static_cast<double>(reference[i]) - static_cast<double>(test[i]);
+    err += d * d;
+    ref += static_cast<double>(reference[i]) * static_cast<double>(reference[i]);
+  }
+}
+
+double nrmse_of_blocks(std::span<const ErrorSums> blocks) {
+  double err = 0.0, ref = 0.0;
+  for (const ErrorSums& b : blocks) {
+    err += b.err;
+    ref += b.ref;
+  }
+  if (ref == 0.0) return err == 0.0 ? 0.0 : std::numeric_limits<double>::infinity();
+  return std::sqrt(err / ref);
+}
+
 double nrmse(std::span<const float> reference, std::span<const float> test) {
   DEFA_CHECK(reference.size() == test.size(), "nrmse: size mismatch");
   if (reference.empty()) return 0.0;
   // Fixed-block sums (common/parallel.h): serial within each block, the
   // partials added in block order, so the bits do not depend on threads.
   const auto n = static_cast<std::int64_t>(reference.size());
-  std::vector<double> err_part(static_cast<std::size_t>(sum_block_count(n)));
-  std::vector<double> ref_part(err_part.size());
+  std::vector<ErrorSums> part(static_cast<std::size_t>(sum_block_count(n)));
   for_each_sum_block(n, 2, [&](std::int64_t b, std::int64_t lo, std::int64_t hi) {
-    double err = 0.0, ref = 0.0;
-    for (auto i = static_cast<std::size_t>(lo); i < static_cast<std::size_t>(hi); ++i) {
-      const double d = static_cast<double>(reference[i]) - static_cast<double>(test[i]);
-      err += d * d;
-      ref += static_cast<double>(reference[i]) * static_cast<double>(reference[i]);
-    }
-    err_part[static_cast<std::size_t>(b)] = err;
-    ref_part[static_cast<std::size_t>(b)] = ref;
+    const auto begin = static_cast<std::size_t>(lo);
+    const auto len = static_cast<std::size_t>(hi - lo);
+    part[static_cast<std::size_t>(b)].add(reference.subspan(begin, len),
+                                          test.subspan(begin, len));
   });
-  double err = 0.0, ref = 0.0;
-  for (std::size_t b = 0; b < err_part.size(); ++b) {
-    err += err_part[b];
-    ref += ref_part[b];
-  }
-  if (ref == 0.0) return err == 0.0 ? 0.0 : std::numeric_limits<double>::infinity();
-  return std::sqrt(err / ref);
+  return nrmse_of_blocks(part);
 }
 
 double max_abs_diff(std::span<const float> a, std::span<const float> b) {

@@ -39,6 +39,22 @@ class RunningStats {
 /// out over the blocks; the result does not depend on the thread count.
 [[nodiscard]] double nrmse(std::span<const float> reference, std::span<const float> test);
 
+/// The two sums of nrmse over one run of elements: the squared error and
+/// the squared reference, each added serially in index order.
+struct ErrorSums {
+  double err = 0.0;
+  double ref = 0.0;
+
+  /// Add the elements of `reference` and `test` (equal sizes).
+  void add(std::span<const float> reference, std::span<const float> test) noexcept;
+};
+
+/// nrmse from the fixed-block partials of its two sums, added in block
+/// order.  nrmse(a, b) is nrmse_of_blocks over a's and b's kSumBlock
+/// blocks; a pass that already walks the data in whole blocks can fill the
+/// partials itself and get the same bits.
+[[nodiscard]] double nrmse_of_blocks(std::span<const ErrorSums> blocks);
+
 /// Maximum absolute elementwise difference.
 [[nodiscard]] double max_abs_diff(std::span<const float> a, std::span<const float> b);
 

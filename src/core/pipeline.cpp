@@ -6,6 +6,7 @@
 
 #include "common/parallel.h"
 #include "common/stats.h"
+#include "core/fused_layer.h"
 #include "core/msgs.h"
 #include "nn/linear.h"
 #include "nn/norm.h"
@@ -253,6 +254,138 @@ const Tensor& EncoderPipeline::layer_probs(int layer) const {
   return ref_[static_cast<std::size_t>(layer)].probs;
 }
 
+struct EncoderPipeline::BlockOutputs {
+  Tensor out;
+  prune::PointMask point_mask;
+  prune::FmapMask next_fmask;
+};
+
+EncoderPipeline::BlockOutputs EncoderPipeline::run_fused_block(const PruneConfig& cfg,
+                                                               int layer, const Tensor& x,
+                                                               const prune::FmapMask& fmask,
+                                                               LayerRunStats& ls) const {
+  const ModelConfig& m = wl_.model();
+  // FWP-masked INTn value projection (mask from the previous block):
+  // integers over the kept rows only, its output handed over as codes.
+  quant::QTensor v_codes;
+  {
+    DEFA_TRACE_SPAN_ARG("value_projection", "kernel", "layer", layer);
+    v_codes = project_value_codes(m, layer, x, cfg.bits,
+                                  cfg.fwp ? fmask.bytes() : std::span<const std::uint8_t>{});
+  }
+  DEFA_TRACE_SPAN_ARG("fused_layer", "kernel", "layer", layer);
+  FusedLayerSpec spec;
+  spec.bits = cfg.bits;
+  if (cfg.pap) spec.pap_tau = cfg.pap_tau;
+  spec.ranges = cfg.narrow ? &cfg.ranges : nullptr;
+  spec.count_frequency = cfg.fwp;
+  FusedLayerResult r = run_fused_int_layer(m, wl_.ref_norm(),
+                                           ref_[static_cast<std::size_t>(layer)].fields,
+                                           v_codes, spec);
+  ls.pap = r.pap;
+  ls.clamp = std::move(r.clamp);
+  ls.kept_points = r.kept_points;
+  BlockOutputs b{std::move(r.out), std::move(r.point_mask), prune::FmapMask(m)};
+  if (cfg.fwp) b.next_fmask = prune::fwp_prune(m, *r.freq, cfg.fwp_k, &ls.fwp);
+  return b;
+}
+
+EncoderPipeline::BlockOutputs EncoderPipeline::run_staged_block(
+    const PruneConfig& cfg, const kernels::Backend& backend, int layer, const Tensor& x,
+    const prune::FmapMask& fmask, Tensor& moved_locs, LayerRunStats& ls) const {
+  const ModelConfig& m = wl_.model();
+  const LayerRef& lref = ref_[static_cast<std::size_t>(layer)];
+  const nn::MsdaFields& fields = lref.fields;
+
+  // (1) INTn generation of logits and offsets (the MM-mode datapath),
+  // then range narrowing of the resulting sampling locations.  The
+  // cached dense fields are used as-is unless one of these moves them.
+  const Tensor* locs = &fields.locs;
+  const Tensor* probs_hw = &lref.probs;
+  Tensor quant_probs;
+  if (cfg.quantize || cfg.narrow) {
+    DEFA_TRACE_SPAN_ARG("quantize_narrow", "kernel", "layer", layer);
+    locs = &moved_locs;
+    const RangeSpec* ranges = cfg.narrow ? &cfg.ranges : nullptr;
+    if (cfg.quantize) {
+      const prune::ClampStats clamp = prune::quantize_and_clamp(
+          m, wl_.ref_norm(), cfg.bits, ranges, fields.locs, moved_locs);
+      if (cfg.narrow) ls.clamp = clamp;
+      // Every backend's softmax is nn::softmax_lastdim; this one reads
+      // the logits through their INTn fake quantization.
+      quant_probs = nn::quantized_softmax_lastdim(fields.logits, cfg.bits);
+      probs_hw = &quant_probs;
+    } else {
+      moved_locs = fields.locs;
+      ls.clamp = prune::clamp_to_range(m, wl_.ref_norm(), *ranges, moved_locs);
+    }
+  }
+  // Quantization and range narrowing move the sampling locations; only
+  // the unmoved dense geometry can reuse the cached per-layer plan, and
+  // only plan-consuming backends need one at all.
+  const bool dense_geometry = !cfg.quantize && !cfg.narrow;
+  std::shared_ptr<const kernels::SamplingPlan> plan;
+  std::shared_ptr<const kernels::LocalityPlan> locality;
+  if (dense_geometry && backend.wants_plan()) {
+    DEFA_TRACE_SPAN_ARG("plan_build", "kernel", "layer", layer);
+    plan = plan_cache_.get(layer_plan_key(layer), m, *locs);
+    if (backend.wants_locality()) {
+      const std::int64_t tile_elems = kernels::locality_tile_elems();
+      locality = plan_cache_.get_locality(layer_locality_key(layer, tile_elems), m,
+                                          *plan, tile_elems);
+    }
+  }
+
+  // (2) PAP point mask from the (hardware) softmax probabilities
+  std::optional<prune::PointMask> pmask;
+  if (cfg.pap) {
+    DEFA_TRACE_SPAN_ARG("pap_prune", "kernel", "layer", layer);
+    pmask = prune::pap_prune(m, *probs_hw, cfg.pap_tau, &ls.pap);
+    ls.kept_points = ls.total_points - ls.pap.pruned_points;
+  } else {
+    pmask.emplace(m);
+    ls.kept_points = ls.total_points;
+  }
+
+  // (3) FWP-masked value projection (mask from the previous block).  The
+  // INTn projection runs in integers over the kept rows only and hands
+  // MSGS its output as value codes.
+  Tensor v;
+  quant::QTensor v_codes;
+  {
+    DEFA_TRACE_SPAN_ARG("value_projection", "kernel", "layer", layer);
+    if (cfg.quantize) {
+      v_codes = project_value_codes(m, layer, x, cfg.bits,
+                                    cfg.fwp ? fmask.bytes() : std::span<const std::uint8_t>{});
+    } else {
+      v = backend.matmul(x, *lref.w_value);
+      if (cfg.fwp) zero_pruned_rows(m, fmask, v);
+    }
+  }
+
+  // (4) fused MSGS + aggregation (INTn datapath when quantizing)
+  Tensor out;
+  {
+    DEFA_TRACE_SPAN_ARG("gather_aggregate", "kernel", "layer", layer);
+    MsgsOptions opt;
+    opt.point_mask = &*pmask;
+    opt.frac_bits = cfg.bits;
+    opt.backend = &backend;
+    opt.plan = plan.get();
+    opt.locality = locality.get();
+    out = cfg.quantize ? run_msgs(m, v_codes, *probs_hw, *locs, opt)
+                       : run_msgs(m, v, *probs_hw, *locs, opt);
+  }
+
+  // (5) frequency counting -> fmap mask for the next block
+  prune::FmapMask next_fmask(m);
+  if (cfg.fwp) {
+    DEFA_TRACE_SPAN_ARG("fwp_prune", "kernel", "layer", layer);
+    const prune::FreqCounter freq = prune::count_sampled_frequency(m, *locs, *pmask);
+    next_fmask = prune::fwp_prune(m, freq, cfg.fwp_k, &ls.fwp);
+  }
+  return {std::move(out), std::move(*pmask), std::move(next_fmask)};
+}
 
 EncoderResult EncoderPipeline::run(const PruneConfig& cfg,
                                    const kernels::Backend* backend_opt) const {
@@ -288,128 +421,43 @@ EncoderResult EncoderPipeline::run(const PruneConfig& cfg,
   Tensor x = wl_.fmap();
 
   prune::FmapMask fmask(m);  // all-keep for the first block
-  // The moved sampling locations, rewritten in place by every layer.
+  // The reference backend runs the INTn layer as one fused pass
+  // (core/fused_layer.h); the other backends run it stage by stage.
+  const bool fused = cfg.quantize && backend.name() == "reference";
+  // The moved sampling locations of the staged path, rewritten in place by
+  // every layer.
   Tensor moved_locs;
 
   for (int layer = 0; layer < m.n_layers; ++layer) {
     const LayerRef& lref = ref_[static_cast<std::size_t>(layer)];
-    const nn::MsdaFields& fields = lref.fields;
-    const Tensor& probs = lref.probs;
-    const Tensor& out_ref = lref.out_ref;
-    const Tensor& w_value = *lref.w_value;
 
     // ---------------- DEFA block -------------------------------
     LayerRunStats ls;
     ls.layer = layer;
     ls.total_points = m.n_in() * m.points_per_query();
     ls.total_pixels = m.n_in();
-
-    // (1) INTn generation of logits and offsets (the MM-mode datapath),
-    // then range narrowing of the resulting sampling locations.  The
-    // cached dense fields are used as-is unless one of these moves them.
-    const Tensor* locs = &fields.locs;
-    const Tensor* probs_hw = &probs;
-    Tensor quant_probs;
-    if (cfg.quantize || cfg.narrow) {
-      DEFA_TRACE_SPAN_ARG("quantize_narrow", "kernel", "layer", layer);
-      locs = &moved_locs;
-      const RangeSpec* ranges = cfg.narrow ? &cfg.ranges : nullptr;
-      if (cfg.quantize) {
-        const prune::ClampStats clamp = prune::quantize_and_clamp(
-            m, wl_.ref_norm(), cfg.bits, ranges, fields.locs, moved_locs);
-        if (cfg.narrow) ls.clamp = clamp;
-        // Every backend's softmax is nn::softmax_lastdim; this one reads
-        // the logits through their INTn fake quantization.
-        quant_probs = nn::quantized_softmax_lastdim(fields.logits, cfg.bits);
-        probs_hw = &quant_probs;
-      } else {
-        moved_locs = fields.locs;
-        ls.clamp = prune::clamp_to_range(m, wl_.ref_norm(), *ranges, moved_locs);
-      }
-    }
-    // Quantization and range narrowing move the sampling locations; only
-    // the unmoved dense geometry can reuse the cached per-layer plan, and
-    // only plan-consuming backends need one at all.
-    const bool dense_geometry = !cfg.quantize && !cfg.narrow;
-    std::shared_ptr<const kernels::SamplingPlan> plan;
-    std::shared_ptr<const kernels::LocalityPlan> locality;
-    if (dense_geometry && backend.wants_plan()) {
-      DEFA_TRACE_SPAN_ARG("plan_build", "kernel", "layer", layer);
-      plan = plan_cache_.get(layer_plan_key(layer), m, *locs);
-      if (backend.wants_locality()) {
-        const std::int64_t tile_elems = kernels::locality_tile_elems();
-        locality = plan_cache_.get_locality(layer_locality_key(layer, tile_elems), m,
-                                            *plan, tile_elems);
-      }
-    }
-
-    // (2) PAP point mask from the (hardware) softmax probabilities
-    prune::PointMask pmask(m);
-    if (cfg.pap) {
-      DEFA_TRACE_SPAN_ARG("pap_prune", "kernel", "layer", layer);
-      pmask = prune::pap_prune(m, *probs_hw, cfg.pap_tau, &ls.pap);
-    }
-    ls.kept_points = pmask.kept_count();
-
-    // (3) FWP-masked value projection (mask from the previous block).  The
-    // INTn projection runs in integers over the kept rows only and hands
-    // MSGS its output as value codes.
     ls.kept_pixels = fmask.kept_count();
-    Tensor v;
-    quant::QTensor v_codes;
-    {
-      DEFA_TRACE_SPAN_ARG("value_projection", "kernel", "layer", layer);
-      if (cfg.quantize) {
-        v_codes = project_value_codes(m, layer, x, cfg.bits,
-                                      cfg.fwp ? fmask.bytes() : std::span<const std::uint8_t>{});
-      } else {
-        v = backend.matmul(x, w_value);
-        if (cfg.fwp) zero_pruned_rows(m, fmask, v);
-      }
-    }
 
-    // (4) fused MSGS + aggregation (INTn datapath when quantizing)
-    Tensor out;
-    {
-      DEFA_TRACE_SPAN_ARG("gather_aggregate", "kernel", "layer", layer);
-      MsgsOptions opt;
-      opt.point_mask = &pmask;
-      opt.frac_bits = cfg.bits;
-      opt.backend = &backend;
-      opt.plan = plan.get();
-      opt.locality = locality.get();
-      out = cfg.quantize ? run_msgs(m, v_codes, *probs_hw, *locs, opt)
-                         : run_msgs(m, v, *probs_hw, *locs, opt);
-    }
-
-    // (5) frequency counting -> fmap mask for the next block
-    prune::FmapMask next_fmask(m);
-    if (cfg.fwp) {
-      DEFA_TRACE_SPAN_ARG("fwp_prune", "kernel", "layer", layer);
-      const prune::FreqCounter freq = prune::count_sampled_frequency(m, *locs, pmask);
-      next_fmask = prune::fwp_prune(m, freq, cfg.fwp_k, &ls.fwp);
-    }
+    BlockOutputs b = fused ? run_fused_block(cfg, layer, x, fmask, ls)
+                           : run_staged_block(cfg, backend, layer, x, fmask, moved_locs, ls);
 
     // ---------------- bookkeeping ------------------------------
     ls.flops_dense = dense_flops(m);
     ls.flops_actual = pruned_flops(m, ls.kept_points, ls.kept_pixels);
-    {
-      DEFA_TRACE_SPAN_ARG("nrmse", "kernel", "layer", layer);
-      ls.out_nrmse = nrmse(out_ref.data(), out.data());
-    }
     result.total_dense += ls.flops_dense;
     result.total_actual += ls.flops_actual;
 
-    result.point_masks.push_back(std::move(pmask));
-    result.fmap_masks.push_back(std::move(fmask));
-    fmask = std::move(next_fmask);
-    result.layers.push_back(std::move(ls));
-
-    // ---------------- residual + norm, advance the pruned trajectory
+    // ---------------- residual + norm, advance the pruned trajectory;
+    // the same row pass measures the divergence from the dense reference.
     {
       DEFA_TRACE_SPAN_ARG("residual_norm", "kernel", "layer", layer);
-      nn::residual_rms_norm_rows(x, out);
+      ls.out_nrmse = nn::residual_rms_norm_rows_nrmse(x, b.out, lref.out_ref);
     }
+
+    result.point_masks.push_back(std::move(b.point_mask));
+    result.fmap_masks.push_back(std::move(fmask));
+    fmask = std::move(b.next_fmask);
+    result.layers.push_back(std::move(ls));
   }
 
   {

@@ -183,6 +183,21 @@ class EncoderPipeline {
   /// default) — safe to share because backends are bit-identical.
   void ensure_reference(const kernels::Backend* backend = nullptr) const;
   void build_reference(const kernels::Backend* backend) const;
+  /// What one block of `run` hands on: its output, its point mask and
+  /// the fmap mask for the next block.  Defined in pipeline.cpp.
+  struct BlockOutputs;
+  /// One block of `run` stage by stage: the fp32 path, and the INTn path
+  /// of every backend but `reference`.  Fills the clamp, PAP, kept-point
+  /// and FWP fields of `ls`; `moved_locs` is scratch reused across blocks.
+  [[nodiscard]] BlockOutputs run_staged_block(const PruneConfig& cfg,
+                                              const kernels::Backend& backend, int layer,
+                                              const Tensor& x, const prune::FmapMask& fmask,
+                                              Tensor& moved_locs, LayerRunStats& ls) const;
+  /// One INTn block on the `reference` backend: the value projection, then
+  /// the fused layer pass (core/fused_layer.h) and fwp_prune.
+  [[nodiscard]] BlockOutputs run_fused_block(const PruneConfig& cfg, int layer, const Tensor& x,
+                                             const prune::FmapMask& fmask,
+                                             LayerRunStats& ls) const;
 
   const workload::SceneWorkload& wl_;
   mutable std::once_flag ref_once_;

@@ -27,6 +27,7 @@
 
 #include "common/simd.h"
 #include "config/model_config.h"
+#include "kernels/reference_int.h"
 #include "prune/masks.h"
 
 namespace defa::kernels {
@@ -98,26 +99,15 @@ void run_quant_level_neon(const QuantArgs& a, int level, const std::int32_t* ord
 
 // ---- the `reference` backend's INTn AVX2 tier (reference_avx2.cpp) -------
 //
-// The reference INTn loop with its channel loop vectorized and everything
-// else unchanged: no plan, `nn::bi_locate` and the neighbor bounds checks
-// inline per point.  Bit-identical to the scalar loop under
-// kMaxVectorQuantBits, so it does not read DEFA_SIMD; channels past the
-// last full 8-lane block run the scalar chain.
-
-/// Flat argument view of one reference INTn call.
-struct RefQuantArgs {
-  const ModelConfig* m = nullptr;
-  const std::int16_t* codes = nullptr;     ///< INTn value codes, (N_in x D)
-  const float* probs = nullptr;            ///< (N, H, L*P)
-  const float* locs = nullptr;             ///< (N, H, L, P, 2)
-  const prune::PointMask* mask = nullptr;  ///< nullable
-  float* out = nullptr;                    ///< (N, D)
-  float out_scale = 1.0f;                  ///< value-code scale for the output
-  int frac_bits = 12;                      ///< t0/t1 and probability width
-};
+// The reference INTn loop over one query range (kernels/reference_int.h)
+// with its channel loop vectorized and everything else unchanged: no
+// plan, `nn::bi_locate` and the neighbor bounds checks inline per point.
+// Bit-identical to the scalar loop under kMaxVectorQuantBits, so it does
+// not read DEFA_SIMD; channels past the last full 8-lane block run the
+// scalar chain.
 
 [[nodiscard]] bool reference_avx2_compiled() noexcept;
-void run_reference_quant_avx2(const RefQuantArgs& a);
+void run_reference_quant_avx2(const IntGatherRange& a);
 
 /// Outcome of the three-layer tier dispatch (DEFA_SIMD request x build x
 /// CPU) shared by the `simd` and `quill` backends.

@@ -19,4 +19,12 @@ void rms_norm_rows(Tensor& x, float eps = 1e-6f);
 /// then normalized, with the same per-row double chain).
 void residual_rms_norm_rows(Tensor& x, const Tensor& residual, float eps = 1e-6f);
 
+/// residual_rms_norm_rows(x, residual, eps) that also returns
+/// nrmse(reference, residual), both bit for bit, from one pass over the
+/// rows: the rows are chunked on whole kSumBlock blocks of elements
+/// (common/parallel.h: block_aligned_chunks), so each block's error
+/// partial is added in nrmse's order.
+[[nodiscard]] double residual_rms_norm_rows_nrmse(Tensor& x, const Tensor& residual,
+                                                  const Tensor& reference, float eps = 1e-6f);
+
 }  // namespace defa::nn

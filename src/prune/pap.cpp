@@ -1,6 +1,5 @@
 #include "prune/pap.h"
 
-#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -31,10 +30,7 @@ PointMask pap_prune(const ModelConfig& m, const Tensor& probs, double tau,
   // fixed blocks of points (common/parallel.h): each block writes its own
   // mask bytes and, when asked for, its pruned count and dropped mass.
   // The mass is a float sum, so it is serial within the block, and the
-  // partials are added in block order below.  A kept point adds +0.0,
-  // which leaves the sum's bits unchanged (a partial starts at +0.0 and
-  // never becomes -0.0); selecting it with a bit mask keeps the loop free
-  // of unpredictable branches.
+  // partials are added in block order below.
   const auto n = static_cast<std::int64_t>(p.size());
   const std::size_t blocks = stats != nullptr ? static_cast<std::size_t>(sum_block_count(n)) : 0;
   std::vector<std::int64_t> pruned_part(blocks);
@@ -48,12 +44,7 @@ PointMask pap_prune(const ModelConfig& m, const Tensor& probs, double tau,
     }
     std::int64_t pruned = 0;
     double mass = 0.0;
-    for (std::size_t i = begin; i < end; ++i) {
-      const auto is_pruned = static_cast<std::uint32_t>(p[i] < threshold);
-      keep[i] = static_cast<std::uint8_t>(1 - is_pruned);
-      pruned += is_pruned;
-      mass += std::bit_cast<float>(std::bit_cast<std::uint32_t>(p[i]) & (0u - is_pruned));
-    }
+    pap_threshold(p.data() + begin, end - begin, threshold, keep.data() + begin, pruned, mass);
     pruned_part[static_cast<std::size_t>(b)] = pruned;
     mass_part[static_cast<std::size_t>(b)] = mass;
   });

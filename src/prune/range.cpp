@@ -12,21 +12,9 @@
 
 namespace defa::prune {
 
-namespace {
-
-using PerLevel = std::array<std::int64_t, kMaxLevels>;
-
-void check_ranges(const ModelConfig& m, const RangeSpec& ranges) {
-  DEFA_CHECK(ranges.used_levels == m.n_levels, "range spec mismatch");
-  for (int l = 0; l < m.n_levels; ++l) {
-    DEFA_CHECK(ranges.radius(l) >= 0,
-               "range radius of level " + std::to_string(l) + " is negative");
-  }
-}
-
 /// The geometry of `m`'s sampling points around `ref_norm`, with `ranges`'
 /// radii when given.  The vectors back `grid`.
-struct Geometry {
+struct OffsetQuantizer::Geometry {
   std::vector<float> level_w;
   std::vector<float> level_h;
   std::vector<float> radius;
@@ -49,7 +37,21 @@ struct Geometry {
   }
   Geometry(const Geometry&) = delete;
   Geometry& operator=(const Geometry&) = delete;
+
+  std::int64_t group = 0;      ///< floats per (query, head, level)
+  std::int64_t vec_end = 0;    ///< of each group, the floats the AVX2 kernels take
+  std::int64_t per_query = 0;  ///< floats per query
 };
+
+namespace {
+
+void check_ranges(const ModelConfig& m, const RangeSpec& ranges) {
+  DEFA_CHECK(ranges.used_levels == m.n_levels, "range spec mismatch");
+  for (int l = 0; l < m.n_levels; ++l) {
+    DEFA_CHECK(ranges.radius(l) >= 0,
+               "range radius of level " + std::to_string(l) + " is negative");
+  }
+}
 
 /// Visit the points of queries [q0, q1) from index `first` of each
 /// (query, head, level) group of 2 * points floats on:
@@ -90,77 +92,129 @@ inline void clamp_point(float& x, float& y, float cx, float cy, float r,
   }
 }
 
-/// Per-level clamp counts and the largest clamp distance, merged across
-/// parallel chunks: integer sums and a max, so the result does not depend
-/// on the chunking.
-class ClampTally {
+/// A ClampTally merged across parallel chunks under a lock.
+class SharedTally {
  public:
-  void merge(const PerLevel& level, double excess) {
+  void merge(const ClampTally& part) {
     const std::lock_guard<std::mutex> lock(mu_);
-    for (std::size_t l = 0; l < level.size(); ++l) level_[l] += level[l];
-    max_excess_ = std::max(max_excess_, excess);
+    tally_.merge(part);
   }
-
-  [[nodiscard]] ClampStats stats(const ModelConfig& m) const {
-    ClampStats stats;
-    stats.total_points = m.n_in() * m.points_per_query();
-    stats.max_excess_px = max_excess_;
-    const double per_level_total = static_cast<double>(m.n_in()) * m.n_heads * m.n_points;
-    for (int l = 0; l < m.n_levels; ++l) {
-      const std::int64_t c = level_[static_cast<std::size_t>(l)];
-      stats.clamped_points += c;
-      stats.level_fraction.push_back(
-          per_level_total > 0 ? static_cast<double>(c) / per_level_total : 0.0);
-    }
-    return stats;
-  }
+  [[nodiscard]] const ClampTally& tally() const noexcept { return tally_; }
 
  private:
   std::mutex mu_;
-  PerLevel level_{};
-  double max_excess_ = 0.0;
+  ClampTally tally_;
 };
 
 }  // namespace
+
+void ClampTally::merge(const ClampTally& other) noexcept {
+  for (std::size_t l = 0; l < level.size(); ++l) level[l] += other.level[l];
+  max_excess = std::max(max_excess, other.max_excess);
+}
+
+ClampStats ClampTally::stats(const ModelConfig& m) const {
+  ClampStats stats;
+  stats.total_points = m.n_in() * m.points_per_query();
+  stats.max_excess_px = max_excess;
+  const double per_level_total = static_cast<double>(m.n_in()) * m.n_heads * m.n_points;
+  for (int l = 0; l < m.n_levels; ++l) {
+    const std::int64_t c = level[static_cast<std::size_t>(l)];
+    stats.clamped_points += c;
+    stats.level_fraction.push_back(
+        per_level_total > 0 ? static_cast<double>(c) / per_level_total : 0.0);
+  }
+  return stats;
+}
 
 ClampStats clamp_to_range(const ModelConfig& m, const Tensor& ref_norm,
                           const RangeSpec& ranges, Tensor& locs) {
   check_ranges(m, ranges);
   DEFA_CHECK(locs.rank() == 5 && locs.dim(0) == m.n_in(), "locs shape");
-  const Geometry geo(m, ref_norm, &ranges);
+  const OffsetQuantizer::Geometry geo(m, ref_norm, &ranges);
   float* xy = locs.data().data();
-  ClampTally tally;
+  SharedTally shared;
   // Queries are independent.  Per point: two clamps and the excess test,
   // ~4 ns.
   parallel_for(0, m.n_in(), m.points_per_query() * 4, [&](std::int64_t q0, std::int64_t q1) {
-    PerLevel level{};
-    double excess = 0.0;
+    ClampTally part;
     for_points(geo.grid, 0, q0, q1, [&](std::int64_t i, std::int64_t l, float cx, float cy) {
       clamp_point(xy[i], xy[i + 1], cx, cy, geo.radius[static_cast<std::size_t>(l)],
-                  level[static_cast<std::size_t>(l)], excess);
+                  part.level[static_cast<std::size_t>(l)], part.max_excess);
     });
-    tally.merge(level, excess);
+    shared.merge(part);
   });
-  return tally.stats(m);
+  return shared.tally().stats(m);
+}
+
+OffsetQuantizer::OffsetQuantizer(const ModelConfig& m, const Tensor& ref_norm,
+                                 const RangeSpec* ranges) {
+  if (ranges != nullptr) check_ranges(m, *ranges);
+  geo_ = std::make_unique<Geometry>(m, ref_norm, ranges);
+  const std::int64_t group = 2 * m.n_points;
+  // The AVX2 kernels take each group's leading full vectors; the scalar
+  // loops take the rest (all of it without AVX2).
+  const bool avx2 =
+      quant::detail::use_quantize_avx2() && m.n_levels <= quant::detail::kMaxGridLevels;
+  geo_->vec_end = avx2 ? group - group % quant::detail::kQuantizeLanes : 0;
+  geo_->group = group;
+  geo_->per_query = m.points_per_query() * 2;
+}
+
+OffsetQuantizer::~OffsetQuantizer() = default;
+
+float OffsetQuantizer::max_abs(const float* locs, std::int64_t q0, std::int64_t q1) const {
+  const Geometry& g = *geo_;
+  float m = g.vec_end > 0 ? quant::detail::offsets_max_abs_avx2(g.grid, locs, q0, q1) : 0.0f;
+  if (g.vec_end < g.group) {
+    for_points(g.grid, g.vec_end, q0, q1, [&](std::int64_t i, std::int64_t, float cx, float cy) {
+      m = std::max(m, std::abs(locs[i] - cx));
+      m = std::max(m, std::abs(locs[i + 1] - cy));
+    });
+  }
+  return m;
+}
+
+void OffsetQuantizer::requantize(const quant::QuantSpec& spec, const float* locs, float* out,
+                                 std::int64_t q0, std::int64_t q1, ClampTally& tally) const {
+  // The grid shifted to start at query q0, so indices into `locs` and
+  // `out` agree.
+  quant::detail::PointGrid grid = geo_->grid;
+  grid.ref_norm += 2 * q0;
+  const float* src = locs + q0 * geo_->per_query;
+  const std::int64_t n = q1 - q0;
+  if (geo_->vec_end > 0) {
+    float vector_excess = 0.0f;
+    quant::detail::requantize_points_avx2(grid, spec.scale, spec.qmax(), src, out, 0, n,
+                                          tally.level.data(), &vector_excess);
+    tally.max_excess = std::max(tally.max_excess, static_cast<double>(vector_excess));
+  }
+  if (geo_->vec_end < geo_->group) {
+    const auto requantized = [&spec](float offset) {
+      return quant::dequantize_value(quant::quantize_value(offset, spec), spec);
+    };
+    for_points(grid, geo_->vec_end, 0, n, [&](std::int64_t i, std::int64_t l, float cx, float cy) {
+      out[i] = cx + requantized(src[i] - cx);
+      out[i + 1] = cy + requantized(src[i + 1] - cy);
+      if (grid.radius != nullptr) {
+        clamp_point(out[i], out[i + 1], cx, cy, geo_->radius[static_cast<std::size_t>(l)],
+                    tally.level[static_cast<std::size_t>(l)], tally.max_excess);
+      }
+    });
+  }
 }
 
 ClampStats quantize_and_clamp(const ModelConfig& m, const Tensor& ref_norm, int bits,
                               const RangeSpec* ranges, const Tensor& locs, Tensor& out) {
-  if (ranges != nullptr) check_ranges(m, *ranges);
   DEFA_CHECK(locs.rank() == 5 && locs.dim(0) == m.n_in(), "locs shape");
   DEFA_CHECK(bits >= 2 && bits <= quant::kMaxBits,
              "supported widths are 2.." + std::to_string(quant::kMaxBits) + " bits");
-  const Geometry geo(m, ref_norm, ranges);
-  const std::int64_t group = 2 * m.n_points;
-  // The AVX2 kernels take each group's leading full vectors; the scalar
-  // loops below take the rest (all of it without AVX2).
-  const bool avx2 =
-      quant::detail::use_quantize_avx2() && m.n_levels <= quant::detail::kMaxGridLevels;
-  const std::int64_t vec_end = avx2 ? group - group % quant::detail::kQuantizeLanes : 0;
+  const OffsetQuantizer offsets(m, ref_norm, ranges);
   // Per query: pass 1 subtracts and maxes 2 floats per point, ~0.5 ns;
   // pass 2 quantizes them and clamps the point.
   const std::int64_t max_work = m.points_per_query();
   const std::int64_t requantize_work = m.points_per_query() * (2 * quant::kQuantizeWork + 4);
+  const std::int64_t per_query = m.points_per_query() * 2;
 
   if (out.shape() != locs.shape()) out = Tensor(locs.shape());
   const float* src = locs.data().data();
@@ -170,46 +224,20 @@ ClampStats quantize_and_clamp(const ModelConfig& m, const Tensor& ref_norm, int 
   float max_abs = 0.0f;
   std::mutex mu;
   parallel_for(0, m.n_in(), max_work, [&](std::int64_t q0, std::int64_t q1) {
-    float chunk_max =
-        vec_end > 0 ? quant::detail::offsets_max_abs_avx2(geo.grid, src, q0, q1) : 0.0f;
-    if (vec_end < group) {
-      for_points(geo.grid, vec_end, q0, q1, [&](std::int64_t i, std::int64_t, float cx, float cy) {
-        chunk_max = std::max(chunk_max, std::abs(src[i] - cx));
-        chunk_max = std::max(chunk_max, std::abs(src[i + 1] - cy));
-      });
-    }
+    const float chunk_max = offsets.max_abs(src, q0, q1);
     const std::lock_guard<std::mutex> lock(mu);
     max_abs = std::max(max_abs, chunk_max);
   });
 
   // Pass 2: each offset, requantized, back into a location; then clamped.
   const quant::QuantSpec spec = quant::QuantSpec::from_max_abs(max_abs, bits);
-  const auto requantize = [&spec](float offset) {
-    return quant::dequantize_value(quant::quantize_value(offset, spec), spec);
-  };
-  ClampTally tally;
+  SharedTally shared;
   parallel_for(0, m.n_in(), requantize_work, [&](std::int64_t q0, std::int64_t q1) {
-    PerLevel level{};
-    float vector_excess = 0.0f;
-    if (vec_end > 0) {
-      quant::detail::requantize_points_avx2(geo.grid, spec.scale, spec.qmax(), src, xy, q0, q1,
-                                            level.data(), &vector_excess);
-    }
-    double excess = vector_excess;
-    if (vec_end < group) {
-      const auto point = [&](std::int64_t i, std::int64_t l, float cx, float cy) {
-        xy[i] = cx + requantize(src[i] - cx);
-        xy[i + 1] = cy + requantize(src[i + 1] - cy);
-        if (ranges != nullptr) {
-          clamp_point(xy[i], xy[i + 1], cx, cy, geo.radius[static_cast<std::size_t>(l)],
-                      level[static_cast<std::size_t>(l)], excess);
-        }
-      };
-      for_points(geo.grid, vec_end, q0, q1, point);
-    }
-    tally.merge(level, excess);
+    ClampTally part;
+    offsets.requantize(spec, src, xy + q0 * per_query, q0, q1, part);
+    shared.merge(part);
   });
-  return ranges != nullptr ? tally.stats(m) : ClampStats{};
+  return ranges != nullptr ? shared.tally().stats(m) : ClampStats{};
 }
 
 std::int64_t range_window_bytes(const ModelConfig& m, const RangeSpec& ranges,

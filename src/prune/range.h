@@ -8,8 +8,12 @@
 /// feature-map working set to a sliding window of (2R+2)^2 pixels per level;
 /// narrowing coarse levels saves ~25% SRAM versus a unified radius.
 
+#include <array>
+#include <memory>
+
 #include "config/hw_config.h"
 #include "config/model_config.h"
+#include "quant/fixed_point.h"
 #include "tensor/tensor.h"
 
 namespace defa::prune {
@@ -49,6 +53,49 @@ ClampStats clamp_to_range(const ModelConfig& m, const Tensor& ref_norm,
 /// clamp_to_range.
 ClampStats quantize_and_clamp(const ModelConfig& m, const Tensor& ref_norm, int bits,
                               const RangeSpec* ranges, const Tensor& locs, Tensor& out);
+
+/// Per-level clamp counts and the largest clamp distance of some points.
+/// Partials merge by integer sums and a max, so stats() does not depend on
+/// how the points were split.
+struct ClampTally {
+  std::array<std::int64_t, kMaxLevels> level{};
+  double max_excess = 0.0;
+
+  void merge(const ClampTally& other) noexcept;
+  /// The ClampStats of `m`'s points with these counts.
+  [[nodiscard]] ClampStats stats(const ModelConfig& m) const;
+};
+
+/// quantize_and_clamp's two passes over the points, one query range at a
+/// time, for callers that run them inside their own pass (the encoder's
+/// fused INTn layer pass).  quantize_and_clamp is
+///   spec = QuantSpec::from_max_abs(max over all ranges of max_abs(...), bits);
+///   requantize(spec, ...) over every range;
+/// and with ranges, tally.stats(m) is its ClampStats.
+class OffsetQuantizer {
+ public:
+  /// `ranges` (nullptr: no clamp) and `ref_norm` must outlive the object.
+  OffsetQuantizer(const ModelConfig& m, const Tensor& ref_norm, const RangeSpec* ranges);
+  OffsetQuantizer(const OffsetQuantizer&) = delete;
+  OffsetQuantizer& operator=(const OffsetQuantizer&) = delete;
+  ~OffsetQuantizer();
+
+  /// Queries [q0, q1) of `locs`, the whole (N, H, L, P, 2) data: the
+  /// NaN-skipping max |loc - center| (0 when there is none).
+  [[nodiscard]] float max_abs(const float* locs, std::int64_t q0, std::int64_t q1) const;
+  /// Queries [q0, q1): each location of `locs` (the whole tensor's data)
+  /// turned into its offset, requantized with `spec` and written back as
+  /// center + offset to `out`, where out[0] is query q0's first float;
+  /// with ranges, clamped there and tallied into `tally`.
+  void requantize(const quant::QuantSpec& spec, const float* locs, float* out, std::int64_t q0,
+                  std::int64_t q1, ClampTally& tally) const;
+
+  /// The points' geometry; defined in range.cpp.
+  struct Geometry;
+
+ private:
+  std::unique_ptr<Geometry> geo_;
+};
 
 /// On-chip storage (bytes) needed to buffer the bounded-range windows of all
 /// levels at full hidden dimension, as sized by the architecture.

@@ -19,21 +19,9 @@ void for_elements(std::size_t n,
   parallel_for(0, static_cast<std::int64_t>(n), kQuantizeWork, fn);
 }
 
-/// max(0, |data[lo]|, ..., |data[hi-1]|), skipping NaN like a std::max
-/// chain does.  Eight independent lanes keep the loop off a single
-/// dependency chain; max is order-free, so the lane split cannot change
-/// the result.
+/// max_abs over data[lo, hi).
 float max_abs_range(std::span<const float> data, std::size_t lo, std::size_t hi) {
-  constexpr std::size_t kLanes = 8;
-  std::array<float, kLanes> lane{};
-  std::size_t i = lo;
-  for (; i + kLanes <= hi; i += kLanes) {
-    for (std::size_t k = 0; k < kLanes; ++k) lane[k] = std::max(lane[k], std::abs(data[i + k]));
-  }
-  for (; i < hi; ++i) lane[0] = std::max(lane[0], std::abs(data[i]));
-  float m = 0.0f;
-  for (float v : lane) m = std::max(m, v);
-  return m;
+  return max_abs(data.subspan(lo, hi - lo));
 }
 
 /// Where the AVX2 tier stops on n elements: its leading n / 8 * 8, or 0
@@ -61,6 +49,21 @@ std::int32_t quantize_codes(const float* src, std::size_t n, const QuantSpec& sp
 }
 
 }  // namespace
+
+float max_abs(std::span<const float> data) noexcept {
+  // Eight independent lanes keep the loop off a single dependency chain;
+  // max is order-free, so the lane split cannot change the result.
+  constexpr std::size_t kLanes = 8;
+  std::array<float, kLanes> lane{};
+  std::size_t i = 0;
+  for (; i + kLanes <= data.size(); i += kLanes) {
+    for (std::size_t k = 0; k < kLanes; ++k) lane[k] = std::max(lane[k], std::abs(data[i + k]));
+  }
+  for (; i < data.size(); ++i) lane[0] = std::max(lane[0], std::abs(data[i]));
+  float m = 0.0f;
+  for (float v : lane) m = std::max(m, v);
+  return m;
+}
 
 bool detail::use_quantize_avx2() {
   static const bool yes = quantize_avx2_compiled() && simd::cpu_supports(simd::Isa::kAvx2);

@@ -62,6 +62,12 @@ struct QuantSpec {
   [[nodiscard]] static QuantSpec from_max_abs(float max_abs, int bits);
 };
 
+/// max(0, |data[0]|, |data[1]|, ...), skipping NaN like a std::max chain
+/// does, on the calling thread: the max-abs QuantSpec::fit takes.  A max
+/// is order-free, so the max of the maxima of any split of `data` is the
+/// same float.
+[[nodiscard]] float max_abs(std::span<const float> data) noexcept;
+
 /// Quantize a single value: round to nearest with ties away from zero
 /// (std::lround's rule), saturating to [qmin, qmax] for any input
 /// including +-inf; NaN maps to 0.

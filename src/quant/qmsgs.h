@@ -49,11 +49,19 @@ namespace defa::quant {
   return frac_mul(value_code, prob_q, frac_bits);
 }
 
-/// Quantize a probability/fraction in [0,1] to Q0.`frac_bits` fixed point.
+/// Quantize a probability/fraction in [0,1] to Q0.`frac_bits` fixed point:
+/// round(f * 2^frac_bits) with ties away from zero (std::llround's rule),
+/// capped at 2^frac_bits - 1; NaN gives 0.  Inline rather than a libm call:
+/// x = clamped * 2^frac_bits is exact in double, and for 0 <= x <= 2^30 so
+/// is x + 0.5 whenever x >= 0.5 (x carries at most 24 significant bits),
+/// while for x < 0.5 the sum stays below 1; truncating x + 0.5 is
+/// therefore std::llround(x), bit for bit.
 [[nodiscard]] inline std::int32_t to_fraction_code(float f, int frac_bits) noexcept {
   const float clamped = std::clamp(f, 0.0f, 1.0f);
+  if (std::isnan(clamped)) return 0;
   const std::int64_t steps = std::int64_t{1} << frac_bits;
-  const std::int64_t code = std::llround(static_cast<double>(clamped) * steps);
+  const auto code =
+      static_cast<std::int64_t>(static_cast<double>(clamped) * static_cast<double>(steps) + 0.5);
   return static_cast<std::int32_t>(std::min<std::int64_t>(code, steps - 1));
 }
 

@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <limits>
 #include <set>
+#include <string>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -274,6 +276,103 @@ TEST(FixedBlockSum, NrmsePartialsAddInBlockOrder) {
   EXPECT_EQ(std::bit_cast<std::uint64_t>(nrmse(ref, test)),
             std::bit_cast<std::uint64_t>(block_nrmse(ref, test)));
   EXPECT_EQ(nrmse(ref, test), 1.0);
+}
+
+// ---------------------------------------------- block-aligned chunking
+
+TEST(BlockAlignedChunks, ItemsPerBlockQuantum) {
+  EXPECT_EQ(sum_block_items(256), 16);  // rows of d_model 256
+  EXPECT_EQ(sum_block_items(128), 32);  // queries of 8 x 4 x 4 points
+  EXPECT_EQ(sum_block_items(48), 256);  // 3 heads: 3 blocks per quantum
+  EXPECT_EQ(sum_block_items(4096), 1);
+  EXPECT_EQ(sum_block_items(5000), 512);
+  EXPECT_EQ(sum_block_items(3), 4096);
+  EXPECT_EQ(sum_block_items(1), 4096);
+  EXPECT_THROW((void)sum_block_items(0), CheckError);
+}
+
+TEST(BlockAlignedChunks, EveryBoundaryIsABlockBoundary) {
+  // Items-per-block values that divide 4096 and ones that do not.
+  for (const std::int64_t elems : {1, 3, 48, 100, 128, 256, 4096, 5000}) {
+    for (const std::int64_t n : {1, 17, 426, 1700, 4484, 100003}) {
+      for (const int concurrency : {1, 2, 4, 8}) {
+        const ChunkPlan plan = block_aligned_chunks(n, kMinParallelWork, elems, concurrency);
+        SCOPED_TRACE("elems " + std::to_string(elems) + " n " + std::to_string(n) +
+                     " concurrency " + std::to_string(concurrency));
+        ASSERT_GE(plan.count, 1);
+        EXPECT_GE(plan.size * plan.count, n);
+        EXPECT_LT(plan.size * (plan.count - 1), n);
+        // Never more chunks than parallel_chunks would make.
+        EXPECT_LE(plan.count, parallel_chunks(n, kMinParallelWork, concurrency).count);
+        for (std::int64_t c = 1; c < plan.count; ++c) {
+          EXPECT_EQ(c * plan.size * elems % kSumBlock, 0) << "chunk " << c;
+        }
+      }
+    }
+  }
+  // Fans out when there are several quanta of work to share.
+  EXPECT_GT(block_aligned_chunks(4484, kMinParallelWork, 128, 4).count, 1);
+  EXPECT_GT(block_aligned_chunks(1020, kMinParallelWork, 48, 4).count, 1);
+}
+
+TEST(BlockAlignedChunks, BelowOneBlockRunsAsOneChunk) {
+  for (const std::int64_t elems : {1, 48, 128, 256, 1000}) {
+    const std::int64_t n = (kSumBlock - 1) / elems;
+    EXPECT_EQ(block_aligned_chunks(n, 100 * kMinParallelWork, elems, 8).count, 1)
+        << "elems " << elems;
+  }
+  // A single run covers every item on the calling thread.
+  const std::thread::id caller = std::this_thread::get_id();
+  int calls = 0;
+  run_chunks(block_aligned_chunks(31, 100 * kMinParallelWork, 128, 8), 31,
+             [&](std::int64_t c, std::int64_t b, std::int64_t e) {
+               ++calls;
+               EXPECT_EQ(c, 0);
+               EXPECT_EQ(b, 0);
+               EXPECT_EQ(e, 31);
+               EXPECT_EQ(std::this_thread::get_id(), caller);
+             });
+  EXPECT_EQ(calls, 1);
+}
+
+TEST(BlockAlignedChunks, ChunkSerialSumsMatchForEachSumBlockBits) {
+  // Rows of `elems` values; each chunk adds its rows' elements to the
+  // partial of their block in order, splitting rows at block boundaries.
+  Rng rng(7);
+  for (const std::int64_t elems : {48, 100, 256}) {
+    for (const std::int64_t rows : {3, 200, 1777}) {
+      const auto n = static_cast<std::size_t>(rows * elems);
+      std::vector<float> ref(n), test(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        ref[i] = static_cast<float>(rng.normal(0.0, 1.0) * std::exp(rng.uniform(-12.0, 12.0)));
+        test[i] = ref[i] + static_cast<float>(rng.normal(0.0, 1.0) *
+                                              std::exp(rng.uniform(-12.0, 12.0)));
+      }
+      std::vector<ErrorSums> part(static_cast<std::size_t>(sum_block_count(rows * elems)));
+      std::vector<std::atomic<int>> chunk_hits(64);
+      const ChunkPlan plan = block_aligned_chunks(rows, kMinParallelWork, elems, 4);
+      run_chunks(plan, rows, [&](std::int64_t c, std::int64_t r0, std::int64_t r1) {
+        chunk_hits[static_cast<std::size_t>(c)].fetch_add(1);
+        for (std::int64_t lo = r0 * elems; lo < r1 * elems;) {
+          const std::int64_t b = lo / kSumBlock;
+          const std::int64_t hi = std::min(r1 * elems, (b + 1) * kSumBlock);
+          const std::span<const float> rs(ref), ts(test);
+          part[static_cast<std::size_t>(b)].add(
+              rs.subspan(static_cast<std::size_t>(lo), static_cast<std::size_t>(hi - lo)),
+              ts.subspan(static_cast<std::size_t>(lo), static_cast<std::size_t>(hi - lo)));
+          lo = hi;
+        }
+      });
+      for (std::int64_t c = 0; c < plan.count; ++c) {
+        EXPECT_EQ(chunk_hits[static_cast<std::size_t>(c)].load(), 1);
+      }
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(nrmse_of_blocks(part)),
+                std::bit_cast<std::uint64_t>(nrmse(ref, test)))
+          << "elems " << elems << " rows " << rows;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(nrmse(ref, test)),
+                std::bit_cast<std::uint64_t>(block_nrmse(ref, test)));
+    }
+  }
 }
 
 // ------------------------------------------------------------------ TextTable

@@ -777,5 +777,28 @@ TEST(Norm, ResidualNormMatchesAddThenNorm) {
   }
 }
 
+TEST(Norm, ResidualNormWithNrmseMatchesBothCalls) {
+  // Rows of 256 (16 per 4096-element block), 48 and 100 (rows that
+  // straddle block boundaries), some fanning out over row chunks.
+  Rng rng(9);
+  for (const auto& [rows, cols] : {std::pair<std::int64_t, std::int64_t>{3, 5},
+                                   {300, 256}, {1020, 48}, {777, 100}}) {
+    Tensor x = Tensor::randn({rows, cols}, rng, 0.5f, 3.0f);
+    Tensor out = Tensor::randn({rows, cols}, rng, 0.0f, 2.0f);
+    Tensor ref = out;
+    for (float& v : ref.data()) {
+      v += static_cast<float>(rng.normal(0.0, 1.0) * std::exp(rng.uniform(-10.0, 10.0)));
+    }
+    Tensor want = x;
+    nn::residual_rms_norm_rows(want, out);
+    const double want_nrmse = nrmse(ref.data(), out.data());
+    const double got_nrmse = nn::residual_rms_norm_rows_nrmse(x, out, ref);
+    EXPECT_EQ(std::memcmp(x.data().data(), want.data().data(), want.data().size_bytes()), 0)
+        << rows << " x " << cols;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got_nrmse), std::bit_cast<std::uint64_t>(want_nrmse))
+        << rows << " x " << cols;
+  }
+}
+
 }  // namespace
 }  // namespace defa

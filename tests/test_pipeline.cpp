@@ -9,13 +9,19 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/parallel.h"
+#include "core/fused_layer.h"
+#include "core/msgs.h"
 #include "core/pipeline.h"
 #include "nn/linear.h"
+#include "nn/softmax.h"
 #include "quant/fixed_point.h"
+#include "quant/qmsgs.h"
 
 namespace defa::core {
 namespace {
@@ -250,6 +256,240 @@ TEST(PipelineGolden, QuantOnlyInt8) {
                 {{54528, 426, 0, 0x3fb8455ea99366d7ULL},
                  {54528, 426, 0, 0x3fb895f02309c60cULL}});
 }
+
+// ------------------------------------------------ the fused INTn layer pass
+
+/// 3 heads of 4 levels x 4 points: 48 points per query, which does not
+/// divide kSumBlock, so chunks hold 256 queries (3 blocks) at a time.
+ModelConfig three_head_model() {
+  ModelConfig m;
+  m.name = "three_heads";
+  m.d_model = 48;
+  m.n_heads = 3;
+  m.n_points = 4;
+  m.n_layers = 1;
+  m.levels = {{24, 32}, {12, 16}, {6, 8}, {3, 4}};
+  m.seed = 5;
+  m.validate();
+  return m;
+}
+
+/// The unfused chain run_fused_int_layer replaces.
+FusedLayerResult oracle_layer(const ModelConfig& m, const Tensor& ref_norm,
+                              const nn::MsdaFields& fields, const quant::QTensor& values,
+                              const FusedLayerSpec& spec) {
+  Tensor moved;
+  const prune::ClampStats clamp =
+      prune::quantize_and_clamp(m, ref_norm, spec.bits, spec.ranges, fields.locs, moved);
+  const Tensor probs = nn::quantized_softmax_lastdim(fields.logits, spec.bits);
+  prune::PapStats pap;
+  prune::PointMask mask =
+      spec.pap_tau.has_value() ? prune::pap_prune(m, probs, *spec.pap_tau, &pap) : prune::PointMask(m);
+  MsgsOptions opt;
+  opt.point_mask = &mask;
+  opt.frac_bits = spec.bits;
+  opt.backend = &kernels::backend("reference");
+  FusedLayerResult r{run_msgs(m, values, probs, moved, opt), std::move(mask), 0, pap, clamp,
+                     std::nullopt};
+  r.kept_points = r.point_mask.kept_count();
+  if (spec.count_frequency) r.freq = prune::count_sampled_frequency(m, moved, r.point_mask);
+  return r;
+}
+
+std::uint64_t bits_of(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Every output bit, mask byte, count and stats field of `got` equals
+/// `want`'s; doubles compared by their bits.
+void expect_same_layer(const FusedLayerResult& got, const FusedLayerResult& want) {
+  ASSERT_EQ(got.out.shape(), want.out.shape());
+  EXPECT_EQ(std::memcmp(got.out.data().data(), want.out.data().data(),
+                        want.out.data().size_bytes()),
+            0)
+      << "gather-aggregate output";
+  ASSERT_EQ(got.point_mask.total(), want.point_mask.total());
+  EXPECT_EQ(std::memcmp(got.point_mask.bytes().data(), want.point_mask.bytes().data(),
+                        want.point_mask.bytes().size()),
+            0)
+      << "point mask";
+  EXPECT_EQ(got.kept_points, want.kept_points);
+  EXPECT_EQ(got.pap.total_points, want.pap.total_points);
+  EXPECT_EQ(got.pap.pruned_points, want.pap.pruned_points);
+  EXPECT_EQ(bits_of(got.pap.mean_dropped_mass), bits_of(want.pap.mean_dropped_mass))
+      << got.pap.mean_dropped_mass << " vs " << want.pap.mean_dropped_mass;
+  EXPECT_EQ(got.clamp.total_points, want.clamp.total_points);
+  EXPECT_EQ(got.clamp.clamped_points, want.clamp.clamped_points);
+  EXPECT_EQ(bits_of(got.clamp.max_excess_px), bits_of(want.clamp.max_excess_px));
+  ASSERT_EQ(got.clamp.level_fraction.size(), want.clamp.level_fraction.size());
+  for (std::size_t l = 0; l < want.clamp.level_fraction.size(); ++l) {
+    EXPECT_EQ(bits_of(got.clamp.level_fraction[l]), bits_of(want.clamp.level_fraction[l]));
+  }
+  ASSERT_EQ(got.freq.has_value(), want.freq.has_value());
+  if (want.freq.has_value()) {
+    ASSERT_EQ(got.freq->size(), want.freq->size());
+    std::int64_t differing = 0;
+    for (std::int64_t t = 0; t < want.freq->size(); ++t) {
+      differing += got.freq->count(t) != want.freq->count(t) ? 1 : 0;
+    }
+    EXPECT_EQ(differing, 0) << "FreqCounter tokens";
+  }
+}
+
+/// Kept points whose probability code is 0: the gather skips them, the
+/// frequency count must not.
+std::int64_t kept_code_zero_points(const FusedLayerResult& r, const nn::MsdaFields& fields,
+                                   int bits) {
+  const Tensor probs = nn::quantized_softmax_lastdim(fields.logits, bits);
+  std::int64_t n = 0;
+  for (std::size_t i = 0; i < probs.data().size(); ++i) {
+    n += r.point_mask.bytes()[i] != 0 && quant::to_fraction_code(probs.data()[i], bits) == 0;
+  }
+  return n;
+}
+
+/// The fused pass at one and at four executors' chunking, with and
+/// without the frequency count, against the oracle chain.
+void expect_fused_matches(const ModelConfig& m, const Tensor& ref_norm,
+                          const nn::MsdaFields& fields, const quant::QTensor& values,
+                          FusedLayerSpec spec) {
+  spec.count_frequency = true;
+  const FusedLayerResult want = oracle_layer(m, ref_norm, fields, values, spec);
+  for (const int concurrency : {1, 4}) {
+    SCOPED_TRACE("concurrency " + std::to_string(concurrency));
+    expect_same_layer(run_fused_int_layer(m, ref_norm, fields, values, spec, concurrency), want);
+  }
+  spec.count_frequency = false;
+  const FusedLayerResult no_count = run_fused_int_layer(m, ref_norm, fields, values, spec, 4);
+  EXPECT_FALSE(no_count.freq.has_value());
+  EXPECT_EQ(std::memcmp(no_count.out.data().data(), want.out.data().data(),
+                        want.out.data().size_bytes()),
+            0);
+}
+
+class FusedLayer : public ::testing::TestWithParam<int> {
+ protected:
+  [[nodiscard]] ModelConfig model() const {
+    switch (GetParam()) {
+      case 0: return ModelConfig::tiny();
+      case 1: return ModelConfig::small();
+      default: return three_head_model();
+    }
+  }
+};
+
+TEST_P(FusedLayer, MatchesOracleChainOverWidthsAndTechniques) {
+  const ModelConfig m = model();
+  workload::SceneParams sp;
+  sp.seed = m.seed;
+  const workload::SceneWorkload wl(m, sp);
+  const nn::MsdaFields& fields = wl.layer_fields(0);
+  const RangeSpec ranges = RangeSpec::level_wise_default(m.n_levels);
+  for (const int bits : {8, 12, 16}) {
+    const quant::QTensor values(wl.fmap(), bits);
+    for (const std::optional<double> tau : {std::optional<double>{}, std::optional<double>{0.0},
+                                            std::optional<double>{0.03}}) {
+      for (const bool narrow : {false, true}) {
+        SCOPED_TRACE("bits " + std::to_string(bits) + " pap " +
+                     (tau ? std::to_string(*tau) : std::string("off")) + " narrow " +
+                     std::to_string(narrow));
+        FusedLayerSpec spec;
+        spec.bits = bits;
+        spec.pap_tau = tau;
+        spec.ranges = narrow ? &ranges : nullptr;
+        expect_fused_matches(m, wl.ref_norm(), fields, values, spec);
+      }
+    }
+  }
+}
+
+TEST_P(FusedLayer, NonFiniteLocationsAndCodeZeroPointsMatchOracleChain) {
+  const ModelConfig m = model();
+  workload::SceneParams sp;
+  sp.seed = m.seed;
+  const workload::SceneWorkload wl(m, sp);
+  const RangeSpec ranges = RangeSpec::level_wise_default(m.n_levels);
+  const quant::QTensor values(wl.fmap(), 12);
+  FusedLayerSpec spec;
+  spec.bits = 12;
+  spec.ranges = &ranges;
+
+  // Logits far below the rest: their probabilities round to fraction code
+  // 0, and without PAP (or at tau 0) those points stay kept.
+  nn::MsdaFields code_zero = wl.layer_fields(0);
+  for (std::int64_t q = 0; q < m.n_in(); q += 3) code_zero.logits(q, 0, 1) = -60.0f;
+  for (const std::optional<double> tau : {std::optional<double>{}, std::optional<double>{0.0},
+                                          std::optional<double>{0.03}}) {
+    spec.pap_tau = tau;
+    expect_fused_matches(m, wl.ref_norm(), code_zero, values, spec);
+  }
+  spec.pap_tau.reset();
+  spec.count_frequency = true;
+  EXPECT_GT(kept_code_zero_points(run_fused_int_layer(m, wl.ref_norm(), code_zero, values, spec),
+                                  code_zero, spec.bits),
+            0);
+
+  // A NaN location requantizes to its center; a -inf one makes the fitted
+  // offset scale infinite and every location NaN.
+  nn::MsdaFields with_nan = wl.layer_fields(0);
+  with_nan.locs(1, 0, 0, 1, 0) = std::numeric_limits<float>::quiet_NaN();
+  with_nan.locs(2, 0, 1, 0, 1) = std::numeric_limits<float>::quiet_NaN();
+  nn::MsdaFields with_inf = wl.layer_fields(0);
+  with_inf.locs(3, 1, 0, 1, 1) = -std::numeric_limits<float>::infinity();
+  for (const std::optional<double> tau : {std::optional<double>{}, std::optional<double>{0.03}}) {
+    spec.pap_tau = tau;
+    for (const RangeSpec* r : {static_cast<const RangeSpec*>(nullptr), &ranges}) {
+      spec.ranges = r;
+      expect_fused_matches(m, wl.ref_norm(), with_nan, values, spec);
+      expect_fused_matches(m, wl.ref_norm(), with_inf, values, spec);
+    }
+  }
+}
+
+TEST_P(FusedLayer, FourExecutorsSplitTheLargerModels) {
+  // The four-executor runs above exercise several chunks (and per-chunk
+  // counters and tallies) wherever the model has the work for it.
+  const ModelConfig m = model();
+  const ChunkPlan plan =
+      block_aligned_chunks(m.n_in(), m.msgs_work_per_query(), m.points_per_query(), 4);
+  if (GetParam() == 0) {
+    EXPECT_EQ(plan.count, 1);
+  } else {
+    EXPECT_GT(plan.count, 1);
+    EXPECT_EQ(plan.size * m.points_per_query() % kSumBlock, 0);
+  }
+}
+
+TEST_P(FusedLayer, PipelineMatchesTheStagedPath) {
+  // The pipeline takes the fused pass on the reference backend's INTn
+  // path and runs the stages on the others; both agree on every stat,
+  // mask and error bit (the differential harness covers every backend).
+  const ModelConfig m = model();
+  workload::SceneParams sp;
+  sp.seed = m.seed;
+  const workload::SceneWorkload wl(m, sp);
+  const EncoderPipeline pipe(wl);
+  PruneConfig cfg = PruneConfig::defa_default(m);
+  cfg.pap_tau = 0.04;
+  const EncoderResult fused = pipe.run(cfg, &kernels::backend("reference"));
+  const EncoderResult staged = pipe.run(cfg, &kernels::backend("fused"));
+  EXPECT_EQ(bits_of(fused.final_nrmse), bits_of(staged.final_nrmse));
+  ASSERT_EQ(fused.layers.size(), staged.layers.size());
+  for (std::size_t l = 0; l < fused.layers.size(); ++l) {
+    EXPECT_EQ(fused.layers[l].kept_points, staged.layers[l].kept_points);
+    EXPECT_EQ(bits_of(fused.layers[l].pap.mean_dropped_mass),
+              bits_of(staged.layers[l].pap.mean_dropped_mass));
+    EXPECT_EQ(bits_of(fused.layers[l].out_nrmse), bits_of(staged.layers[l].out_nrmse));
+    EXPECT_EQ(fused.layers[l].clamp.clamped_points, staged.layers[l].clamp.clamped_points);
+    EXPECT_TRUE(std::equal(fused.point_masks[l].bytes().begin(),
+                           fused.point_masks[l].bytes().end(),
+                           staged.point_masks[l].bytes().begin()));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Models, FusedLayer, ::testing::Values(0, 1, 2),
+                         [](const auto& info) {
+                           return info.param == 0 ? "tiny"
+                                                  : info.param == 1 ? "small" : "three_heads";
+                         });
 
 // ------------------------------------------------ INTn value projection
 

@@ -544,6 +544,45 @@ TEST(QMsgs, FractionCodeRange) {
   EXPECT_NEAR(to_fraction_code(0.5f, 12), 1 << 11, 1);
 }
 
+TEST(QMsgs, FractionCodeMatchesLlroundOnEveryReachableFloat) {
+  // to_fraction_code rounds inline; std::llround of the exact double
+  // product is the rule it must keep.  Every float in [2^-18, 1] at 16
+  // bits (below 2^-18 the product is under 0.25 and both give 0), every
+  // 61st at 12 and 8 bits, then the edges.
+  const auto want = [](float f, int bits) {
+    const std::int64_t steps = std::int64_t{1} << bits;
+    const std::int64_t code =
+        std::llround(static_cast<double>(std::clamp(f, 0.0f, 1.0f)) * static_cast<double>(steps));
+    return static_cast<std::int32_t>(std::min<std::int64_t>(code, steps - 1));
+  };
+  const std::int64_t lo = std::bit_cast<std::uint32_t>(std::ldexp(1.0f, -18));
+  const std::int64_t hi = std::bit_cast<std::uint32_t>(1.0f);
+  for (const auto& [bits, stride] : {std::pair<int, std::int64_t>{16, 1}, {12, 61}, {8, 61}}) {
+    std::atomic<std::int64_t> mismatches{0};
+    parallel_for(0, (hi - lo) / stride + 1, 2 * kQuantizeWork, [&](std::int64_t b0, std::int64_t b1) {
+      std::int64_t bad = 0;
+      for (std::int64_t b = b0; b < b1; ++b) {
+        const float f = std::bit_cast<float>(static_cast<std::uint32_t>(lo + b * stride));
+        bad += to_fraction_code(f, bits) != want(f, bits) ? 1 : 0;
+      }
+      mismatches += bad;
+    });
+    EXPECT_EQ(mismatches.load(), 0) << bits << " bits";
+    for (const float f : {0.0f, -0.0f, std::numeric_limits<float>::denorm_min(),
+                          std::nextafter(1.0f, 0.0f), 1.0f, 2.0f, -1.0f,
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()}) {
+      EXPECT_EQ(to_fraction_code(f, bits), want(f, bits)) << f << " at " << bits << " bits";
+    }
+    // Ties round up: (k + 1/2) / 2^bits.
+    for (const int k : {0, 1, 2, 100}) {
+      const float tie = (static_cast<float>(k) + 0.5f) / static_cast<float>(1 << bits);
+      EXPECT_EQ(to_fraction_code(tie, bits), k + 1) << bits << " bits";
+    }
+  }
+  EXPECT_EQ(to_fraction_code(std::numeric_limits<float>::quiet_NaN(), 12), 0);
+}
+
 TEST(QMsgs, HornerIntCorners) {
   // t0 = t1 = 0 -> N0 exactly.
   EXPECT_EQ(bi_horner_int(100, 200, 300, 400, 0, 0, 12), 100);
