@@ -615,8 +615,8 @@ void Client::submit_async(serve::ServeRequest req, ResponseCallback done) {
         if (frame == nullptr) {
           // Local/transport failure: the status collapses several codes
           // (kTransport -> kError), so carry the typed code alongside —
-          // failover logic distinguishes a dead shard ("transport") from a
-          // request the server actually rejected.
+          // callers tell a dead connection ("transport") from a request
+          // the server actually rejected.
           resp.status = serve::status_for(code);
           resp.error_code = serve::error_code_name(code);
           resp.error = error;
@@ -812,8 +812,6 @@ api::Json Client::run_experiment(const std::string& name) {
 api::Json Client::reconfigure(const serve::ServerReconfig& rc) {
   return call("reconfigure", serve::reconfig_params(rc));
 }
-
-api::Json Client::shard_info() { return call("shard_info"); }
 
 api::Json Client::trace(bool clear) {
   api::Json params;  // omitted from the frame when left null

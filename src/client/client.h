@@ -103,8 +103,8 @@ class Client {
   /// "transport"; the future never hangs and submit never throws for it.
   [[nodiscard]] std::future<serve::ServeResponse> submit(serve::ServeRequest req);
 
-  /// Callback flavor of `submit` (same semantics); `client::Pool` hangs
-  /// its failover logic off this instead of blocking a thread per future.
+  /// Callback flavor of `submit` (same semantics), for callers that keep
+  /// many requests in flight without a thread blocked per future.
   void submit_async(serve::ServeRequest req, ResponseCallback done);
 
   /// Sync eval; returns the full response envelope.
@@ -160,9 +160,6 @@ class Client {
   /// see `serve::ServerReconfig`).  Returns {"reconfigured": true,
   /// "server": <info block>}; throws RpcError on validation failure.
   api::Json reconfigure(const serve::ServerReconfig& rc);
-  /// The server's fleet identity: {"shard": {id, count, name}, "ring":
-  /// {virtual_nodes, points}, "metrics": ...}.
-  api::Json shard_info();
   /// Drain the server's recorded trace spans: {"pid", "process",
   /// "enabled", "dropped", "traceEvents"} in Chrome trace-event form
   /// (docs/OBSERVABILITY.md).  `clear=false` leaves the spans buffered.

@@ -14,7 +14,7 @@
 ///  1. **CPU capability** — `cpu_supports(isa)` queries the hardware
 ///     (CPUID on x86, architecture baseline on ARM).  Detection is about
 ///     the machine the binary landed on, never the machine it was built on,
-///     so one binary runs correctly across a heterogeneous fleet.
+///     so one binary runs correctly on hosts with different CPUs.
 ///  2. **Compiled availability** — whether a tier's kernels were compiled
 ///     into the binary at all is a per-translation-unit property of the
 ///     kernels and nn layers (the `DEFA_KERNELS_SIMD` CMake knob); the

@@ -57,7 +57,7 @@ api::Json merge_trace_processes(const std::vector<TraceProcess>& processes) {
     bool named = false;
     for (const api::Json& e : events->items()) {
       api::Json copy = e;
-      copy["pid"] = process.pid;  // shard-qualified lane
+      copy["pid"] = process.pid;  // this process's lane
       if (e.contains("ph") && e.at("ph").as_string() == "M" &&
           e.at("name").as_string() == "process_name") {
         if (named) continue;  // one naming event per lane

@@ -2,18 +2,18 @@
 
 /// \file export.h
 /// Chrome trace-event / Perfetto export for `obs::Tracer` spans, plus the
-/// multi-process merge used by `defa_loadgen --connect --trace-out` and
-/// `defa_fleet --trace-out` (docs/OBSERVABILITY.md).
+/// multi-process merge used by `defa_loadgen --connect --trace-out`
+/// (docs/OBSERVABILITY.md).
 ///
 /// The emitted document is the Trace Event Format JSON object form:
 ///
 ///   {"displayTimeUnit": "ms",
 ///    "traceEvents": [
 ///      {"name":"process_name","ph":"M","pid":P,"tid":0,
-///       "args":{"name":"defa_serve shard0"}},
+///       "args":{"name":"defa_serve"}},
 ///      {"name":"run","cat":"serve","ph":"X","ts":123,"dur":456,
 ///       "pid":P,"tid":T,"args":{"trace_id":"00f3..."}},
-///      {"name":"failover","cat":"pool","ph":"i","s":"t", ...}, ...]}
+///      {"name":"rpc","cat":"client","ph":"X", ...}, ...]}
 ///
 /// `ts`/`dur` are microseconds on the machine-wide monotonic clock, so
 /// events exported by different processes on one host share a timeline.
@@ -30,8 +30,8 @@
 namespace defa::obs {
 
 /// Spans -> `traceEvents` array (metadata naming event first).  `pid` is
-/// the Chrome-trace process id lane — the real pid for single-process
-/// dumps, a shard-qualified ordinal for fleet merges.
+/// the Chrome-trace process id lane, normally the recording process's real
+/// pid.
 [[nodiscard]] api::Json trace_events_json(const std::vector<Span>& spans,
                                           int pid,
                                           const std::string& process_name);

@@ -9,7 +9,7 @@
 /// is touched once per thread lifetime and on collection).  Timestamps
 /// come from `steady_clock` (CLOCK_MONOTONIC), which on Linux is shared
 /// machine-wide — so spans recorded by different processes on one host
-/// line up on a single timeline when merged (fleet trace export).
+/// line up on a single timeline when merged (client + server trace export).
 ///
 /// Request-scoped spans are gated by a thread-local *trace context*: a
 /// request that was sampled for tracing opens a `TraceScope` carrying its
@@ -17,8 +17,8 @@
 /// kernel phases, ...) records with that id attached.  When no context is
 /// open — tracing disabled, or the request not sampled — a span site is
 /// one thread-local load and a branch.  Event-style records (`instant`)
-/// gate on the global enable only, so pool reconnect/failover events are
-/// captured even outside any request.
+/// gate on the global enable only, so they are captured even outside any
+/// request.
 ///
 /// Compile-time removal: building with `-DDEFA_TRACE=0` (CMake option
 /// `DEFA_TRACE=OFF`) turns the `DEFA_TRACE_*` macros into empty
@@ -52,7 +52,7 @@ namespace defa::obs {
 }
 
 /// One recorded event.  `dur_us < 0` marks an instant event (a point in
-/// time, e.g. a pool failover) rather than a duration span.
+/// time) rather than a duration span.
 struct Span {
   std::string name;
   std::string cat;
@@ -175,8 +175,8 @@ void record_span(const char* name, const char* cat, std::int64_t ts_us,
                  std::int64_t dur_us, std::uint64_t trace_id,
                  std::vector<std::pair<std::string, std::string>> args = {});
 
-/// Record a point event (pool reconnect, failover, chaos...).  Gated on
-/// the global enable only — no request context required.
+/// Record a point event.  Gated on the global enable only — no request
+/// context required.
 void record_instant(const char* name, const char* cat,
                     std::vector<std::pair<std::string, std::string>> args = {},
                     std::uint64_t trace_id = 0);

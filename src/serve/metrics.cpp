@@ -234,58 +234,6 @@ MetricsSnapshot MetricsSnapshot::from_json(const api::Json& j) {
   return s;
 }
 
-MetricsSnapshot merge_snapshots(const std::vector<MetricsSnapshot>& parts) {
-  MetricsSnapshot merged;
-  for (const MetricsSnapshot& p : parts) {
-    merged.submitted += p.submitted;
-    merged.completed_ok += p.completed_ok;
-    merged.rejected_overload += p.rejected_overload;
-    merged.rejected_deadline += p.rejected_deadline;
-    merged.rejected_shutdown += p.rejected_shutdown;
-    merged.errors += p.errors;
-    merged.in_flight += p.in_flight;
-    merged.queue_depth += p.queue_depth;
-    merged.uptime_ms = std::max(merged.uptime_ms, p.uptime_ms);
-    merged.queue_ms.merge(p.queue_ms);
-    merged.run_ms.merge(p.run_ms);
-    merged.total_ms.merge(p.total_ms);
-    for (const auto& [name, n] : p.per_benchmark) {
-      bool found = false;
-      for (auto& [mname, mn] : merged.per_benchmark) {
-        if (mname == name) {
-          mn += n;
-          found = true;
-          break;
-        }
-      }
-      if (!found) merged.per_benchmark.emplace_back(name, n);
-    }
-    merged.context_hits += p.context_hits;
-    merged.context_misses += p.context_misses;
-    merged.context_evictions += p.context_evictions;
-    merged.memo_hits += p.memo_hits;
-    merged.memo_misses += p.memo_misses;
-    merged.memo_evictions += p.memo_evictions;
-    merged.plan_hits += p.plan_hits;
-    merged.plan_misses += p.plan_misses;
-    merged.plan_entries += p.plan_entries;
-    const auto add = [](wire::SerSnapshot& a, const wire::SerSnapshot& b) {
-      a.encode_ms += b.encode_ms;
-      a.decode_ms += b.decode_ms;
-      a.encode_frames += b.encode_frames;
-      a.decode_frames += b.decode_frames;
-      a.encode_bytes += b.encode_bytes;
-      a.decode_bytes += b.decode_bytes;
-    };
-    add(merged.wire_v1, p.wire_v1);
-    add(merged.wire_v2, p.wire_v2);
-  }
-  merged.qps = merged.uptime_ms > 0 ? static_cast<double>(merged.completed_ok) /
-                                          (merged.uptime_ms / 1e3)
-                                    : 0.0;
-  return merged;
-}
-
 // ------------------------------------------------------------- ServerMetrics
 
 ServerMetrics::ServerMetrics() : start_(std::chrono::steady_clock::now()) {}

@@ -131,15 +131,6 @@ struct MetricsSnapshot {
   [[nodiscard]] static MetricsSnapshot from_json(const api::Json& j);
 };
 
-/// Fleet-level aggregation (docs/FLEET.md): sum the counters, merge the
-/// raw histogram buckets, merge per-benchmark counts, and recompute the
-/// derived fields — uptime is the max across shards (they run in
-/// parallel) and qps is completed_ok over that shared wall clock.  The
-/// merged percentiles are exact up to the shared bucket quantization,
-/// because every shard exports the same raw log-scale buckets.
-[[nodiscard]] MetricsSnapshot merge_snapshots(
-    const std::vector<MetricsSnapshot>& parts);
-
 /// Thread-safe metrics sink.  All mutators are O(1) under one mutex; the
 /// Server calls them outside its own scheduling lock.
 class ServerMetrics {

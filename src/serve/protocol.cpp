@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -16,7 +15,6 @@
 #include "api/registry.h"
 #include "api/request.h"
 #include "common/check.h"
-#include "fleet/hash_ring.h"
 #include "kernels/backend.h"
 #include "obs/export.h"
 #include "obs/trace.h"
@@ -350,7 +348,7 @@ api::Json batch_item_error(ErrorCode code, const std::string& message) {
 
 const char* const kKnownMethods =
     "hello, eval, eval_batch, metrics, backends, experiments, experiment, "
-    "ping, reconfigure, shard_info, trace, drain";
+    "ping, reconfigure, trace, drain";
 
 /// The `hello` handshake result: the negotiated wire version for this
 /// session.  `upgrade` is set when the session should switch to the
@@ -498,40 +496,11 @@ api::Json handle_reconfigure(const api::Json& params, Server& server) {
   return j;
 }
 
-api::Json handle_shard_info(Server& server) {
-  const ServerOptions opts = server.options_snapshot();
-  api::Json j = api::Json::object();
-  api::Json shard = api::Json::object();
-  shard["id"] = opts.shard_id;
-  shard["count"] = opts.shard_count;
-  shard["name"] = opts.shard_name;
-  j["shard"] = std::move(shard);
-  // The key range this shard owns, as its consistent-hash ring points —
-  // derived from the shard name exactly as client::Pool derives them, so
-  // a client can verify it routes where the server believes it serves.
-  api::Json ring = api::Json::object();
-  ring["virtual_nodes"] = opts.ring_virtual_nodes;
-  api::Json points = api::Json::array();
-  if (!opts.shard_name.empty()) {
-    for (const std::uint64_t h :
-         fleet::ring_points(opts.shard_name, opts.ring_virtual_nodes)) {
-      char buf[19];
-      std::snprintf(buf, sizeof(buf), "0x%016llx",
-                    static_cast<unsigned long long>(h));
-      points.push_back(std::string(buf));
-    }
-  }
-  ring["points"] = std::move(points);
-  j["ring"] = std::move(ring);
-  j["metrics"] = server.metrics().to_json();
-  return j;
-}
-
 /// The `trace` method: drain the server's span buffer as Chrome
 /// trace-event JSON (docs/OBSERVABILITY.md).  Params: optional
 /// `{"clear": bool}` (default true — each call hands out every span once,
 /// so a client polling after a load run gets exactly that run's spans).
-api::Json handle_trace(const api::Json& params, Server& server) {
+api::Json handle_trace(const api::Json& params) {
   bool clear = true;
   if (!params.is_null()) {
     DEFA_CHECK(params.is_object(), "protocol: trace params must be an object");
@@ -540,9 +509,7 @@ api::Json handle_trace(const api::Json& params, Server& server) {
     }
     if (const api::Json* c = params.find("clear")) clear = c->as_bool();
   }
-  const ServerOptions opts = server.options_snapshot();
-  std::string process = "defa_serve";
-  if (!opts.shard_name.empty()) process += " " + opts.shard_name;
+  const std::string process = "defa_serve";
   obs::Tracer& tracer = obs::Tracer::instance();
   const std::uint64_t dropped = tracer.dropped();  // before collect() resets
   const std::vector<obs::Span> spans = tracer.collect(clear);
@@ -610,7 +577,7 @@ api::Json dispatch_admin_method(const std::string& method,
                                 bool& known) {
   known = true;
   if (method == "metrics") return server.metrics().to_json();
-  if (method == "trace") return handle_trace(params, server);
+  if (method == "trace") return handle_trace(params);
   if (method == "backends") return handle_backends(server);
   if (method == "experiments") return handle_experiments();
   if (method == "experiment") return handle_experiment(params, server);
@@ -619,7 +586,6 @@ api::Json dispatch_admin_method(const std::string& method,
   // lock, so the change lands between dispatches and the response is
   // written only once it is fully applied.
   if (method == "reconfigure") return handle_reconfigure(params, server);
-  if (method == "shard_info") return handle_shard_info(server);
   known = false;
   return {};
 }

@@ -15,11 +15,11 @@
 ///       "error": {"code": "overload", "message": "..."}}
 ///
 /// Methods: `hello`, `eval`, `eval_batch`, `metrics`, `backends`,
-/// `experiments`, `experiment`, `ping`, `reconfigure`, `shard_info`,
-/// `trace`, `drain`.  Failures carry typed error codes (`ErrorCode`
-/// below) instead of free-form strings.  Request envelopes may carry an
-/// optional `trace_id` field correlating client- and server-side trace
-/// spans (docs/OBSERVABILITY.md).
+/// `experiments`, `experiment`, `ping`, `reconfigure`, `trace`, `drain`.
+/// Failures carry typed error codes (`ErrorCode` below) instead of
+/// free-form strings.  Request envelopes may carry an optional `trace_id`
+/// field correlating client- and server-side trace spans
+/// (docs/OBSERVABILITY.md).
 ///
 /// `hello` — sent as the *first* frame of a session — negotiates the wire
 /// version: when both sides speak Protocol v2, the ok response is the

@@ -104,8 +104,7 @@ struct ServeResponse {
   /// response crossed the wire or failed in the client transport; empty
   /// for in-process responses (status alone is authoritative there).
   /// Carried as the wire name — not serve::ErrorCode — so scheduler.h
-  /// stays independent of protocol.h.  `client::Pool` keys failover on
-  /// "transport".
+  /// stays independent of protocol.h.
   std::string error_code;
   std::optional<api::EvalResult> result;  ///< set when status == kOk
   double queue_ms = 0;  ///< admission -> dispatch (or rejection)
@@ -130,14 +129,6 @@ struct ServerOptions {
   /// (batch prefill, scheduling tests).
   bool start_paused = false;
   api::Engine::Options engine;
-  /// Fleet identity (docs/FLEET.md): set by `defa_serve --shard-id` when
-  /// the process serves as one shard of a consistent-hash fleet, exported
-  /// by the protocol `shard_info` method.  Purely informational — the
-  /// scheduler itself is shard-agnostic; routing lives in `client::Pool`.
-  int shard_id = -1;    ///< -1 = not part of a fleet
-  int shard_count = 0;  ///< fleet size this shard was launched into
-  std::string shard_name;
-  int ring_virtual_nodes = 64;  ///< must match the routing clients' rings
   /// Server-side trace sampling: when the tracer is enabled and N > 0,
   /// every Nth admitted request that did not arrive with a client
   /// trace_id is stamped with a fresh one (`defa_serve --trace-sample`).

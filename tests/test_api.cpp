@@ -412,6 +412,41 @@ TEST(Engine, MemoLruFollowsRecencyOfUse) {
   EXPECT_EQ(engine.cache_stats().memo_misses, 4u);
 }
 
+TEST(EngineReconfigure, ShrinkingCacheBoundsEvictsAndResetStatsZeroes) {
+  api::Engine engine;
+  api::EvalRequest req;
+  req.preset = "tiny";
+  for (const int seed : {0, 101, 202}) {
+    api::EvalRequest r = req;
+    if (seed != 0) {
+      workload::SceneParams scene;
+      scene.seed = static_cast<unsigned>(seed);
+      r.scene = scene;
+    }
+    (void)engine.run(r);
+  }
+  EXPECT_EQ(engine.cached_contexts(), 3u);
+
+  api::Engine::Reconfig rc;
+  rc.max_contexts = 1;
+  engine.reconfigure(rc);
+  EXPECT_EQ(engine.cached_contexts(), 1u);
+  EXPECT_GE(engine.cache_stats().context.evictions, 2u);
+
+  engine.reset_stats();
+  EXPECT_EQ(engine.cache_stats().context.hits, 0u);
+  EXPECT_EQ(engine.cache_stats().context.evictions, 0u);
+  EXPECT_EQ(engine.cache_stats().memo_misses, 0u);
+
+  // An unknown backend is refused before anything is applied.
+  api::Engine::Reconfig bad;
+  bad.backend = "no_such_backend";
+  bad.max_contexts = 99;
+  EXPECT_THROW(engine.reconfigure(bad), CheckError);
+  EXPECT_EQ(engine.cached_contexts(), 1u);  // untouched
+  (void)engine.run(req);                    // still serves
+}
+
 // ---------------------------------------------------------- batch determinism
 
 TEST(Engine, BatchMatchesSequentialBitwise) {

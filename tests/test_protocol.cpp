@@ -183,10 +183,12 @@ TEST(ProtocolSession, MalformedFrameAnswersParseError) {
 TEST(ProtocolSession, UnknownMethodAndEnvelopeKeyAreTypedErrors) {
   const std::vector<Json> frames = run_session(
       R"({"v":1,"id":"m","method":"no_such_method"})" "\n"
-      R"({"v":1,"id":"k","method":"ping","paramz":{}})" "\n");
-  ASSERT_EQ(frames.size(), 2u);
+      R"({"v":1,"id":"k","method":"ping","paramz":{}})" "\n"
+      R"({"v":1,"id":"s","method":"shard_info"})" "\n");
+  ASSERT_EQ(frames.size(), 3u);
   EXPECT_EQ(error_code_of(*frame_with_id(frames, "m")), "unknown_method");
   EXPECT_EQ(error_code_of(*frame_with_id(frames, "k")), "validation");
+  EXPECT_EQ(error_code_of(*frame_with_id(frames, "s")), "unknown_method");
 }
 
 TEST(ProtocolSession, VersionMismatchRejected) {
@@ -667,8 +669,8 @@ TEST(LoopbackTcp, TransportErrorsSurfaceAsTypedFailures) {
 // Regression: a request already *in flight* (submitted, unanswered) when
 // the peer closes must resolve promptly with a typed transport error —
 // not hang its future.  A raw listener that accepts, reads the frame and
-// closes without replying pins the exact shard-death window client::Pool
-// failover depends on.
+// closes without replying pins the window in which a server dies with a
+// request on it.
 TEST(LoopbackTcp, InFlightSubmitResolvesTypedTransportErrorOnPeerClose) {
   TcpListener listener(0);
   std::thread peer([&listener] {
@@ -703,7 +705,7 @@ TEST(LoopbackTcp, InFlightSubmitResolvesTypedTransportErrorOnPeerClose) {
   }
 }
 
-// ----------------------------------------------------- reconfigure / shard_info
+// ---------------------------------------------------------------- reconfigure
 
 TEST(Reconfigure, ParamsRoundTripAndStrictValidation) {
   ServerReconfig rc;
@@ -770,30 +772,6 @@ TEST(Reconfigure, AppliesLiveOverTheWireAndResetsStats) {
     EXPECT_EQ(e.code(), ErrorCode::kValidation);
   }
   EXPECT_EQ(c.eval(req), reference.run(req));
-}
-
-TEST(ShardInfo, ReportsIdentityRingAndMetrics) {
-  ServerOptions options;
-  options.shard_id = 1;
-  options.shard_count = 3;
-  options.shard_name = "shard1";
-  options.ring_virtual_nodes = 8;
-  LoopbackServer server(options);
-  client::Client c = client::Client::connect_tcp("127.0.0.1", server.port());
-  const Json info = c.shard_info();
-  EXPECT_EQ(info.at("shard").at("id").as_int(), 1);
-  EXPECT_EQ(info.at("shard").at("count").as_int(), 3);
-  EXPECT_EQ(info.at("shard").at("name").as_string(), "shard1");
-  EXPECT_EQ(info.at("ring").at("virtual_nodes").as_int(), 8);
-  EXPECT_EQ(info.at("ring").at("points").size(), 8u);
-  EXPECT_TRUE(info.at("metrics").contains("submitted"));
-
-  // A shard-less server still answers, with an empty ring.
-  LoopbackServer plain;
-  client::Client c2 = client::Client::connect_tcp("127.0.0.1", plain.port());
-  const Json no_shard = c2.shard_info();
-  EXPECT_EQ(no_shard.at("shard").at("id").as_int(), -1);
-  EXPECT_EQ(no_shard.at("ring").at("points").size(), 0u);
 }
 
 // ------------------------------------------------------------ socket options

@@ -626,6 +626,31 @@ TEST(ServerLocality, ResultsBitIdenticalToFifoAndSequential) {
   }
 }
 
+TEST(ServerReconfigure, SwitchesPolicyAndResetsMetricsBetweenDispatches) {
+  serve::Server server{serve::ServerOptions{}};
+  serve::ServeRequest r;
+  r.request.preset = "tiny";
+  (void)server.submit(r).get();
+  EXPECT_GT(server.metrics().submitted, 0u);
+
+  serve::ServerReconfig rc;
+  rc.policy = serve::SchedulePolicy::kLocality;
+  rc.locality_window = 2;
+  rc.reset_stats = true;
+  server.reconfigure(rc);
+  const serve::ServerOptions after = server.options_snapshot();
+  EXPECT_EQ(after.policy, serve::SchedulePolicy::kLocality);
+  EXPECT_EQ(after.locality_window, 2);
+  EXPECT_EQ(server.metrics().submitted, 0u);
+
+  serve::ServerReconfig bad;
+  bad.locality_window = 0;
+  EXPECT_THROW(server.reconfigure(bad), CheckError);
+
+  const auto resp = server.submit(r).get();
+  EXPECT_EQ(resp.status, serve::ResponseStatus::kOk);
+}
+
 // ----------------------------------------------------------- EvalRequest JSON
 
 TEST(RequestJson, RoundTripPreservesRequestIdentity) {

@@ -6,8 +6,7 @@
 //              [--no-memo] [--backend NAME] [--metrics]
 //              [--metrics-interval SEC] [--metrics-out FILE]
 //              [--trace] [--trace-sample N] [--trace-out FILE]
-//              [--shard-id N] [--shard-count N] [--shard-name NAME]
-//              [--virtual-nodes N] [--max-wire N]
+//              [--max-wire N]
 //
 // Observability (docs/OBSERVABILITY.md): --metrics-interval emits one
 // MetricsSnapshot JSON line per interval to stderr (or --metrics-out
@@ -17,10 +16,6 @@
 // FILE dumps the recorded spans as Chrome trace-event JSON at exit
 // (implies --trace).  Clients can also pull spans live via the protocol
 // `trace` method.
-//
-// The --shard-* flags stamp a fleet identity (docs/FLEET.md) onto the
-// server, reported by the protocol `shard_info` method; scheduling itself
-// is shard-agnostic (routing lives in defa::client::Pool).
 //
 // Speaks three wire modes, auto-detected per session from the first frame
 // (docs/PROTOCOL.md):
@@ -41,15 +36,22 @@
 // SIGTERM/SIGINT or a protocol `drain` stops it gracefully: admission
 // stops, in-flight requests finish, metrics flush, clients close.
 //
+// A numeric flag whose value is not a whole number in its range (a
+// trailing character, a sign on a count, a port above 65535) is refused
+// with exit code 2, like an unknown option.
+//
 // Example:
 //   printf '%s\n' '{"preset":"tiny","outputs":["functional"]}' | defa_serve
 //   defa_serve --listen 0 --port-file port.txt &
 
 #include <atomic>
+#include <charconv>
 #include <csignal>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -79,11 +81,29 @@ int usage() {
             << "                  [--metrics] [--metrics-interval SEC]\n"
             << "                  [--metrics-out FILE] [--trace]\n"
             << "                  [--trace-sample N] [--trace-out FILE]\n"
-            << "                  [--shard-id N] [--shard-count N]\n"
-            << "                  [--shard-name NAME] [--virtual-nodes N]\n"
             << "                  [--max-wire N]\n";
   return 2;
 }
+
+/// Parses the whole of `text` as a number in [lo, hi] into `out`,
+/// refusing trailing characters ("0x"), a sign on an unsigned field ("-1",
+/// which std::stoul would wrap to SIZE_MAX) and out-of-range values.  On
+/// failure it prints `message` and returns false; the caller exits 2.
+template <typename T>
+bool parse_flag(const char* text, T lo, T hi, const char* message, T& out) {
+  T parsed{};
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, parsed);
+  if (ec == std::errc{} && ptr == end && parsed >= lo && parsed <= hi) {
+    out = parsed;
+    return true;
+  }
+  std::cerr << message << "\n";
+  return false;
+}
+
+constexpr int kMaxInt = std::numeric_limits<int>::max();
+constexpr std::size_t kMaxSize = std::numeric_limits<std::size_t>::max();
 
 std::atomic<defa::serve::TcpListener*> g_listener{nullptr};
 
@@ -222,9 +242,7 @@ int main(int argc, char** argv) try {
     } else if (arg == "--listen") {
       const char* v = value();
       if (v == nullptr) return usage();
-      listen_port = std::stoi(v);
-      if (listen_port < 0 || listen_port > 65535) {
-        std::cerr << "--listen PORT must be in [0, 65535]\n";
+      if (!parse_flag(v, 0, 65535, "--listen PORT must be in [0, 65535]", listen_port)) {
         return 2;
       }
     } else if (arg == "--port-file") {
@@ -234,11 +252,18 @@ int main(int argc, char** argv) try {
     } else if (arg == "--workers") {
       const char* v = value();
       if (v == nullptr) return usage();
-      options.server.max_concurrency = std::stoi(v);
+      if (!parse_flag(v, 0, kMaxInt, "--workers N must be a whole number >= 0",
+                      options.server.max_concurrency)) {
+        return 2;
+      }
     } else if (arg == "--queue-capacity") {
       const char* v = value();
       if (v == nullptr) return usage();
-      options.server.queue_capacity = static_cast<std::size_t>(std::stoul(v));
+      if (!parse_flag(v, std::size_t{1}, kMaxSize,
+                      "--queue-capacity N must be a whole number >= 1",
+                      options.server.queue_capacity)) {
+        return 2;
+      }
     } else if (arg == "--policy") {
       const char* v = value();
       if (v == nullptr) return usage();
@@ -251,15 +276,26 @@ int main(int argc, char** argv) try {
     } else if (arg == "--locality-window") {
       const char* v = value();
       if (v == nullptr) return usage();
-      options.server.locality_window = std::stoi(v);
+      if (!parse_flag(v, 1, kMaxInt, "--locality-window N must be a whole number >= 1",
+                      options.server.locality_window)) {
+        return 2;
+      }
     } else if (arg == "--max-contexts") {
       const char* v = value();
       if (v == nullptr) return usage();
-      options.server.engine.max_contexts = static_cast<std::size_t>(std::stoul(v));
+      if (!parse_flag(v, std::size_t{0}, kMaxSize,
+                      "--max-contexts N must be a whole number >= 0",
+                      options.server.engine.max_contexts)) {
+        return 2;
+      }
     } else if (arg == "--max-memo") {
       const char* v = value();
       if (v == nullptr) return usage();
-      options.server.engine.max_memo = static_cast<std::size_t>(std::stoul(v));
+      if (!parse_flag(v, std::size_t{0}, kMaxSize,
+                      "--max-memo N must be a whole number >= 0",
+                      options.server.engine.max_memo)) {
+        return 2;
+      }
     } else if (arg == "--no-memo") {
       options.server.engine.memoize_results = false;
     } else if (arg == "--backend") {
@@ -271,30 +307,14 @@ int main(int argc, char** argv) try {
         return 2;
       }
       options.server.engine.backend = v;
-    } else if (arg == "--shard-id") {
-      const char* v = value();
-      if (v == nullptr) return usage();
-      options.server.shard_id = std::stoi(v);
-    } else if (arg == "--shard-count") {
-      const char* v = value();
-      if (v == nullptr) return usage();
-      options.server.shard_count = std::stoi(v);
-    } else if (arg == "--shard-name") {
-      const char* v = value();
-      if (v == nullptr) return usage();
-      options.server.shard_name = v;
-    } else if (arg == "--virtual-nodes") {
-      const char* v = value();
-      if (v == nullptr) return usage();
-      options.server.ring_virtual_nodes = std::stoi(v);
     } else if (arg == "--max-wire") {
       const char* v = value();
       if (v == nullptr) return usage();
-      options.max_wire_version = std::stoi(v);
-      if (options.max_wire_version < 1 ||
-          options.max_wire_version > defa::serve::wire::kWireVersion) {
-        std::cerr << "--max-wire N must be in [1, "
-                  << defa::serve::wire::kWireVersion << "]\n";
+      const std::string message =
+          "--max-wire N must be in [1, " +
+          std::to_string(defa::serve::wire::kWireVersion) + "]";
+      if (!parse_flag(v, 1, defa::serve::wire::kWireVersion, message.c_str(),
+                      options.max_wire_version)) {
         return 2;
       }
     } else if (arg == "--metrics") {
@@ -302,9 +322,10 @@ int main(int argc, char** argv) try {
     } else if (arg == "--metrics-interval") {
       const char* v = value();
       if (v == nullptr) return usage();
-      options.metrics_interval_sec = std::stod(v);
-      if (options.metrics_interval_sec <= 0) {
-        std::cerr << "--metrics-interval SEC must be > 0\n";
+      if (!parse_flag(v, std::numeric_limits<double>::min(),
+                      std::numeric_limits<double>::max(),
+                      "--metrics-interval SEC must be a number > 0",
+                      options.metrics_interval_sec)) {
         return 2;
       }
     } else if (arg == "--metrics-out") {
@@ -316,9 +337,8 @@ int main(int argc, char** argv) try {
     } else if (arg == "--trace-sample") {
       const char* v = value();
       if (v == nullptr) return usage();
-      options.server.trace_sample_every = std::stoi(v);
-      if (options.server.trace_sample_every <= 0) {
-        std::cerr << "--trace-sample N must be > 0\n";
+      if (!parse_flag(v, 1, kMaxInt, "--trace-sample N must be a whole number >= 1",
+                      options.server.trace_sample_every)) {
         return 2;
       }
       trace = true;
@@ -358,14 +378,10 @@ int main(int argc, char** argv) try {
     if (trace_out_path.empty()) return;
     const std::vector<defa::obs::Span> spans =
         defa::obs::Tracer::instance().collect();
-    std::string process = "defa_serve";
-    if (!options.server.shard_name.empty()) {
-      process += " " + options.server.shard_name;
-    }
     defa::obs::write_trace_file(
         trace_out_path,
         defa::obs::trace_document(defa::obs::trace_events_json(
-            spans, static_cast<int>(::getpid()), process)));
+            spans, static_cast<int>(::getpid()), "defa_serve")));
     std::cerr << "defa_serve: wrote " << spans.size() << " trace event(s) to "
               << trace_out_path << "\n";
   };
@@ -404,7 +420,6 @@ int main(int argc, char** argv) try {
   dump_trace();
   return 0;
 } catch (const std::exception& e) {
-  // Also covers std::stoi/stoul on malformed flag values.
   std::cerr << "error: " << e.what() << "\n";
   return 1;
 }
